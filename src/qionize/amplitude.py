@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .units import DomainError, ExperimentConfig, Reduction, Regime
+from .units import DomainError, ExperimentConfig, Regime
 
 __all__ = [
     "AmplitudeKind",
@@ -90,11 +90,16 @@ def sinc(x: ArrayLike) -> ArrayLike:
     precision in that range; elsewhere the direct quotient.
     """
     arr = np.asarray(x, dtype=float)
+    # an explicit out keeps even a 0-d result an array, writable in place
+    value = np.sin(arr, out=np.empty(arr.shape))
     small = np.abs(arr) < 1e-4
-    safe = np.where(small, 1.0, arr)
-    direct = np.sin(safe) / safe
-    series = 1.0 - arr**2 / 6.0 + arr**4 / 120.0
-    return _maybe_scalar(np.where(small, series, direct), x)
+    # only x == 0 divides 0 by 0; its nan is overwritten by the series below
+    with np.errstate(invalid="ignore"):
+        np.divide(value, arr, out=value)
+    if small.any():
+        tiny = arr[small]
+        value[small] = 1.0 - tiny**2 / 6.0 + tiny**4 / 120.0
+    return _maybe_scalar(value, x)
 
 
 def delta_kz_exact(kix: ArrayLike, ksx: ArrayLike, k0: float) -> ArrayLike:
@@ -265,8 +270,3 @@ def eval_reduced(point, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike
             mismatch = delta_kz_exact(kix_arr, ksx_arr, k0)
         value = value * sinc(0.5 * cfg.crystal_length_um * mismatch)
     return _maybe_scalar(value, kix, ksx)
-
-
-def reduction_for(cfg: ExperimentConfig):
-    """The evaluation path the config selects; convenience for dispatchers."""
-    return cfg.reduction if isinstance(cfg.reduction, Reduction) else Reduction(cfg.reduction)

@@ -331,10 +331,6 @@ _HALF_PI = 0.5 * math.pi
 _ANGLE_DOMAIN = ((-_HALF_PI, _HALF_PI), (-_HALF_PI, _HALF_PI))
 
 
-def _integration_domain(cfg: ExperimentConfig) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-    return _ANGLE_DOMAIN
-
-
 def _initial_panels(cfg: ExperimentConfig) -> Tuple[int, int]:
     # the phase-matching argument reaches L*k0/2 along s; along t it only
     # varies through the exact dispersion's curvature in u, roughly
@@ -361,7 +357,7 @@ def _integrate_reduced(
 ) -> IntegralResult:
     check_narrowband_guard(cfg)
     f = _reduced_integrand(cfg, kind, power, obliquity, kernel, amplitude_scale)
-    return integrate_2d(f, _integration_domain(cfg), cfg.quadrature, _initial_panels(cfg))
+    return integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, _initial_panels(cfg))
 
 
 def _require_converged(name: str, result: IntegralResult) -> IntegralResult:

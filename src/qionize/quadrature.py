@@ -11,8 +11,12 @@ Two interchangeable methods behind one entry point:
   lexicographic tie-breaking.
 
 Both are open rules (no endpoint evaluations), fully deterministic, and
-account every integrand evaluation toward max_evals. Integrands must accept
-numpy arrays and broadcast: f(x[:, None], y[None, :]) -> (nx, ny) array.
+account every integrand evaluation toward max_evals. A tensor grid is never
+built whole: the integrand is called on row blocks of it, about BLOCK_NODES
+nodes each, and each block is reduced before the next is evaluated.
+Integrands must therefore be pointwise (a node's value depends on its own
+(x, y) only) and broadcast: f(x_blk[:, None], y[None, :]) ->
+(len(x_blk), len(y)) array, x_blk a run of consecutive x nodes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,11 @@ __all__ = [
 
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+
+# integrand nodes per call of the tensor rule: a block's float64 temporaries
+# (128 KiB each) stay in a per-core L2 cache; the fastest of 2^13..2^17 on
+# the L = 100 um ratio grids
+BLOCK_NODES = 2**14
 
 
 @dataclass(frozen=True)
@@ -92,12 +101,22 @@ def _panel_rule(a: float, b: float, n_panels: int, nodes, weights):
 def _tensor_eval(f, x0, x1, y0, y1, nx, ny, nodes, weights):
     x, wx = _panel_rule(x0, x1, nx, nodes, weights)
     y, wy = _panel_rule(y0, y1, ny, nodes, weights)
-    values = np.asarray(f(x[:, None], y[None, :]), dtype=float)
-    if values.shape != (x.size, y.size):
-        raise DomainError(
-            f"integrand must broadcast to shape {(x.size, y.size)}, got {values.shape}"
-        )
-    return float(wx @ values @ wy), values.size
+    # row blocks of about BLOCK_NODES nodes keep the integrand's temporaries
+    # in cache; the einsum reduction stays single-threaded (no BLAS) and the
+    # partial sums add in fixed block order, so the value depends on nothing
+    # but (nx, ny)
+    rows = max(1, BLOCK_NODES // y.size)
+    total = 0.0
+    for i in range(0, x.size, rows):
+        x_blk = x[i : i + rows]
+        values = np.asarray(f(x_blk[:, None], y[None, :]), dtype=float)
+        if values.shape != (x_blk.size, y.size):
+            raise DomainError(
+                f"integrand must broadcast to shape {(x_blk.size, y.size)} on rows "
+                f"{i}:{i + x_blk.size} of the {x.size}x{y.size} grid, got {values.shape}"
+            )
+        total += float(np.einsum("i,i->", wx[i : i + rows], np.einsum("ij,j->i", values, wy)))
+    return total, x.size * y.size
 
 
 def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels):
@@ -217,11 +236,13 @@ def integrate_2d(
 ) -> IntegralResult:
     """Integrate f over the rectangle domain = ((x0, x1), (y0, y1)).
 
-    f must be vectorized: called with broadcastable arrays x (column) and
-    y (row), returning the (nx, ny) array of values. initial_panels is a
-    performance hint (starting resolution per axis); it never changes what
-    converged means, only how fast the method gets there. Identical inputs
-    produce bit-identical results.
+    f must be vectorized and pointwise: it is called on row blocks of the
+    node grid, with a column x_blk[:, None] of consecutive x nodes and the
+    row y[None, :] of all y nodes, and must return the
+    (len(x_blk), len(y)) array of values, each depending only on its own
+    node. initial_panels is a performance hint (starting resolution per
+    axis); it never changes what converged means, only how fast the method
+    gets there. Identical inputs produce bit-identical results.
     """
     spec = spec if spec is not None else QuadratureSpec()
     x0, x1, y0, y1 = _check_domain(domain)

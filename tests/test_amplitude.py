@@ -43,6 +43,55 @@ def test_sinc_series_continuous_at_switchover():
     assert sinc(0.99999e-4) == pytest.approx(0.9999999983333666, rel=1e-15)
 
 
+def _sinc_where_formula(x):
+    # the earlier whole-array formula: both branches on every element
+    arr = np.asarray(x, dtype=float)
+    small = np.abs(arr) < 1e-4
+    safe = np.where(small, 1.0, arr)
+    return np.where(small, 1.0 - arr**2 / 6.0 + arr**4 / 120.0, np.sin(safe) / safe)
+
+
+def _same_bits(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_sinc_bit_identical_to_where_formula():
+    rng = np.random.default_rng(2024)
+    edge = 1e-4
+    straddle = [
+        np.nextafter(edge, 0.0),
+        edge,
+        np.nextafter(edge, 1.0),
+        0.99999e-4,
+        1.00001e-4,
+        0.0,
+        1e-300,
+        5e-324,
+        1e-8,
+    ]
+    special = np.array(straddle + [-v for v in straddle])
+    x = np.concatenate(
+        [rng.uniform(-2000.0, 2000.0, 10**5), rng.uniform(-2e-4, 2e-4, 1000), special]
+    )
+    got = sinc(x)
+    assert isinstance(got, np.ndarray)
+    assert _same_bits(got, _sinc_where_formula(x))
+    # 2-D input keeps its shape
+    grid = x[: 400 * 250].reshape(400, 250)
+    assert _same_bits(sinc(grid), _sinc_where_formula(grid))
+    # both signed zeros give exactly +1.0
+    assert _same_bits(sinc(np.array([0.0, -0.0])), [1.0, 1.0])
+    for v in special.tolist() + [3.7, -1234.5]:
+        as_float = sinc(v)
+        as_0d = sinc(np.array(v))
+        assert type(as_float) is float
+        assert type(as_0d) is float
+        assert _same_bits(as_float, _sinc_where_formula(v))
+        assert _same_bits(as_0d, _sinc_where_formula(np.array(v)))
+
+
 def test_sinc_global_minimum_enclosure():
     x = np.linspace(3.0, 7.0, 200001)
     vals = sinc(x)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qionize import observables, quadrature
 from qionize.amplitude import AmplitudeKind
 from qionize.observables import (
     DIPOLE,
@@ -175,6 +176,32 @@ def test_ratio_determinism():
     b = enhancement_ratio(cfg)
     assert a.R == b.R
     assert a.err_R == b.err_R
+
+
+def test_long_crystal_integrands_see_only_cache_sized_blocks(monkeypatch):
+    # the tensor rule evaluates row blocks, never the whole L = 100 um grid
+    calls = []
+
+    def recording_integrate_2d(f, domain, spec=None, initial_panels=(2, 2)):
+        def recorded(x, y):
+            values = f(x, y)
+            calls.append((np.size(values), np.size(y)))
+            return values
+
+        return integrate_2d(recorded, domain, spec, initial_panels)
+
+    monkeypatch.setattr(observables, "integrate_2d", recording_integrate_2d)
+    res = enhancement_ratio(ExperimentConfig(pump_waist_um=100.0, crystal_length_um=100.0))
+    assert res.converged
+    evals = sum(
+        res.diagnostics[f"{name}_{kind}"].evals
+        for name in ("I1", "I2", "I2w")
+        for kind in ("ent", "sep")
+    )
+    assert sum(n for n, _ in calls) == evals
+    assert max(n for n, _ in calls) < evals // 100
+    for n, ny in calls:
+        assert n <= max(quadrature.BLOCK_NODES, ny)
 
 
 def test_ratio_scale_invariance():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qionize import quadrature
 from qionize.quadrature import ConvergenceError, IntegralResult, integrate_2d
 from qionize.units import DomainError, QuadratureMethod, QuadratureSpec
 
@@ -171,3 +172,46 @@ def test_determinism_same_spec_same_bits():
     r2 = integrate_2d(f, domain, TIGHT)
     assert r1.value == r2.value
     assert r1.evals == r2.evals
+
+
+def _fsum_reference(f, x0, x1, y0, y1, nx, ny):
+    # exact sum of the rounded products wx_i wy_j f_ij over the whole grid
+    x, wx = quadrature._panel_rule(x0, x1, nx, quadrature._GL16_X, quadrature._GL16_W)
+    y, wy = quadrature._panel_rule(y0, y1, ny, quadrature._GL16_X, quadrature._GL16_W)
+    terms = wx[:, None] * wy[None, :] * f(x[:, None], y[None, :])
+    return math.fsum(terms.ravel().tolist())
+
+
+@pytest.mark.parametrize(
+    "nx, ny",
+    [
+        # a few rows per block, row count not a multiple of the block rows
+        (50, 3),
+        # a y axis longer than BLOCK_NODES: one row per block
+        (1, quadrature.BLOCK_NODES // 16 + 1),
+    ],
+)
+def test_tensor_eval_blocks_match_fsum(nx, ny):
+    rows = quadrature.BLOCK_NODES // (16 * ny)
+    if rows > 0:
+        assert (16 * nx) % rows != 0
+
+    def f(x, y):
+        return np.exp(-0.3 * x * x) * np.cos(5.0 * y + x) + 0.25 * x * y
+
+    x0, x1, y0, y1 = -1.0, 2.0, -0.5, 1.5
+    value, evals = quadrature._tensor_eval(
+        f, x0, x1, y0, y1, nx, ny, quadrature._GL16_X, quadrature._GL16_W
+    )
+    reference = _fsum_reference(f, x0, x1, y0, y1, nx, ny)
+    assert abs(value - reference) <= 1e-13 * abs(reference)
+    assert evals == nx * ny * 256
+
+
+def test_wrong_shape_integrand_raises_domain_error_naming_shape():
+    # default (2, 2) panels: a 32 x 32 grid, one block
+    with pytest.raises(DomainError, match=r"\(32, 32\).*got \(32, 31\)"):
+        integrate_2d(lambda x, y: (x + y)[:, :-1], ((0.0, 1.0), (0.0, 1.0)), TIGHT)
+    # a scalar never broadcasts to the block
+    with pytest.raises(DomainError, match=r"\(32, 32\)"):
+        integrate_2d(lambda x, y: 1.0, ((0.0, 1.0), (0.0, 1.0)), TIGHT)
