@@ -175,9 +175,7 @@ def _components(photon) -> tuple:
     )
 
 
-def _delta_kz_6d(kix, kiy, kiz, ksx, ksy, ksz, regime: Regime):
-    mag_i = np.sqrt(kix**2 + kiy**2 + kiz**2)
-    mag_s = np.sqrt(ksx**2 + ksy**2 + ksz**2)
+def _delta_kz_6d(kix, kiy, kiz, ksx, ksy, ksz, mag_i, mag_s, regime: Regime):
     if regime is Regime.PARAXIAL:
         perp_i = kix**2 + kiy**2
         perp_s = ksx**2 + ksy**2
@@ -190,6 +188,31 @@ def _delta_kz_6d(kix, kiy, kiz, ksx, ksy, ksz, regime: Regime):
     arg = (mag_i + mag_s) ** 2 - (kix + ksx) ** 2 - (kiy + ksy) ** 2
     # nonnegative whenever both kz >= 0, by the transverse triangle inequality
     return np.sqrt(np.maximum(arg, 0.0)) - kiz - ksz
+
+
+def _separable_6d(ki, ks, cfg: ExperimentConfig, scale: float = 1.0):
+    """Separable 6D amplitude times scale, with |ki| and |ks|; no kz check.
+
+    ki and ks are (kx, ky, kz) triplets of float arrays. The entangled
+    amplitude is this value times _entangling_6d at the same magnitudes.
+    """
+    kix, kiy, kiz = ki
+    ksx, ksy, ksz = ks
+    k0 = cfg.k0
+    mag_i = np.sqrt(kix**2 + kiy**2 + kiz**2)
+    mag_s = np.sqrt(ksx**2 + ksy**2 + ksz**2)
+    value = scale * pump_envelope(kix + ksx, kiy + ksy, cfg.pump_waist_um, cfg.pump_waist_y)
+    value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_i - k0)) ** 2)
+    value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_s - k0)) ** 2)
+    value = value * np.exp(-0.5 * (cfg.filter_omega_y_um * kiy) ** 2)
+    value = value * np.exp(-0.5 * (cfg.filter_omega_y_um * ksy) ** 2)
+    return value, mag_i, mag_s
+
+
+def _entangling_6d(ki, ks, mag_i, mag_s, cfg: ExperimentConfig):
+    """Phase-matching factor sinc(L * delta_kz / 2) in the configured regime."""
+    mismatch = _delta_kz_6d(*ki, *ks, mag_i, mag_s, cfg.regime)
+    return sinc(0.5 * cfg.crystal_length_um * mismatch)
 
 
 def eval_amplitude(ki, ks, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike:
@@ -206,22 +229,13 @@ def eval_amplitude(ki, ks, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayL
         raise DomainError(f"kind must be an AmplitudeKind, got {kind!r}")
     kix, kiy, kiz = _components(ki)
     ksx, ksy, ksz = _components(ks)
-    k0 = cfg.k0
 
     forward = (kiz >= 0.0) & (ksz >= 0.0)
-    kiz_safe = np.where(forward, kiz, 0.0)
-    ksz_safe = np.where(forward, ksz, 0.0)
-
-    mag_i = np.sqrt(kix**2 + kiy**2 + kiz_safe**2)
-    mag_s = np.sqrt(ksx**2 + ksy**2 + ksz_safe**2)
-    value = pump_envelope(kix + ksx, kiy + ksy, cfg.pump_waist_um, cfg.pump_waist_y)
-    value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_i - k0)) ** 2)
-    value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_s - k0)) ** 2)
-    value = value * np.exp(-0.5 * (cfg.filter_omega_y_um * kiy) ** 2)
-    value = value * np.exp(-0.5 * (cfg.filter_omega_y_um * ksy) ** 2)
+    ki_safe = (kix, kiy, np.where(forward, kiz, 0.0))
+    ks_safe = (ksx, ksy, np.where(forward, ksz, 0.0))
+    value, mag_i, mag_s = _separable_6d(ki_safe, ks_safe, cfg)
     if kind is AmplitudeKind.ENTANGLED:
-        mismatch = _delta_kz_6d(kix, kiy, kiz_safe, ksx, ksy, ksz_safe, cfg.regime)
-        value = value * sinc(0.5 * cfg.crystal_length_um * mismatch)
+        value = value * _entangling_6d(ki_safe, ks_safe, mag_i, mag_s, cfg)
     value = np.where(forward, value, 0.0)
     return _maybe_scalar(value, kix, kiy, kiz, ksx, ksy, ksz)
 
@@ -262,11 +276,27 @@ def eval_reduced(point, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike
     if np.any(np.abs(kix_arr) >= k0) or np.any(np.abs(ksx_arr) >= k0):
         raise DomainError("eval_reduced requires |kx| < k0 for each photon (open square)")
 
-    value = pump_envelope(kix_arr + ksx_arr, 0.0, cfg.pump_waist_um, cfg.pump_waist_y)
-    if kind is AmplitudeKind.ENTANGLED:
-        if cfg.regime is Regime.PARAXIAL:
-            mismatch = delta_kz_paraxial(kix_arr, ksx_arr, k0)
-        else:
-            mismatch = delta_kz_exact(kix_arr, ksx_arr, k0)
-        value = value * sinc(0.5 * cfg.crystal_length_um * mismatch)
+    value = _reduced_amplitude(kix_arr + ksx_arr, kix_arr, ksx_arr, cfg, kind)
     return _maybe_scalar(value, kix, ksx)
+
+
+def _reduced_amplitude(
+    u, kix, ksx, cfg: ExperimentConfig, kind: AmplitudeKind, scale: float = 1.0
+):
+    """Unchecked reduced amplitude times scale at pump sum u = kix + ksx.
+
+    Callers that parametrize the plane by u pass it directly rather than
+    the rounded sum of kix and ksx. The exact mismatch clamps its roots at
+    the kinematic edge, where the amplitude's sinc argument stays finite.
+    """
+    value = scale * np.exp(-0.5 * (cfg.pump_waist_um * u) ** 2)
+    if kind is AmplitudeKind.ENTANGLED:
+        k0 = cfg.k0
+        if cfg.regime is Regime.PARAXIAL:
+            mismatch = delta_kz_paraxial(kix, ksx, k0)
+        else:
+            kiz = np.sqrt(np.maximum(k0**2 - kix**2, 0.0))
+            ksz = np.sqrt(np.maximum(k0**2 - ksx**2, 0.0))
+            mismatch = np.sqrt(np.maximum(4.0 * k0**2 - u**2, 0.0)) - (kiz + ksz)
+        value = value * sinc(0.5 * cfg.crystal_length_um * mismatch)
+    return value

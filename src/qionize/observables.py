@@ -18,13 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .amplitude import (
-    AmplitudeKind,
-    check_narrowband_guard,
-    delta_kz_exact,
-    delta_kz_paraxial,
-    sinc,
-)
+from .amplitude import AmplitudeKind, _reduced_amplitude, check_narrowband_guard
 from .quadrature import ConvergenceError, IntegralResult, integrate_2d
 from .units import C_UM_PER_S, DomainError, ExperimentConfig, Regime
 
@@ -257,10 +251,18 @@ class Quantity:
         return self.value * self.factor.numeric(cfg)
 
 
-# symbolic factors of the three reduced integrals: two photons contribute
-# g1 each to the coherent sum and g2 each to the squared sums
-_FACTOR_I1 = FilterFactor(g1=2)
-_FACTOR_I2 = FilterFactor(g2=2)
+# The reduced observables as functions of the three integrals' values:
+# I1 = integral of F, I2 = integral of |F|^2, I2w = integral of |F|^2 w.
+def _c_quantity(i2: float) -> Quantity:
+    return Quantity(1.0 / math.sqrt(i2), FilterFactor(g2=-1))
+
+
+def _f_quantity(i1: float, i2w: float) -> Quantity:
+    return Quantity(i1**2 / i2w, FilterFactor(g1=4, g2=-2))
+
+
+def _phi_quantity(i2: float, i2w: float) -> Quantity:
+    return Quantity(C_UM_PER_S * i2w / math.sqrt(i2), FilterFactor(g2=1))
 
 
 def _umax(cfg: ExperimentConfig) -> float:
@@ -289,8 +291,6 @@ def _reduced_integrand(
     d kix d ksx = (1/2) du dv.
     """
     k0 = cfg.k0
-    omega_p = cfg.pump_waist_um
-    length = cfg.crystal_length_um
     paraxial = cfg.regime is Regime.PARAXIAL
     umax = _umax(cfg)
 
@@ -302,15 +302,7 @@ def _reduced_integrand(
         jac_u = half_u * np.cos(t)
         kix = 0.5 * (u + v)
         ksx = 0.5 * (u - v)
-        value = amplitude_scale * np.exp(-0.5 * (omega_p * u) ** 2)
-        if kind is AmplitudeKind.ENTANGLED:
-            if paraxial:
-                mismatch = delta_kz_paraxial(kix, ksx, k0)
-            else:
-                kiz = np.sqrt(np.maximum(k0**2 - kix**2, 0.0))
-                ksz = np.sqrt(np.maximum(k0**2 - ksx**2, 0.0))
-                mismatch = np.sqrt(np.maximum(4.0 * k0**2 - u**2, 0.0)) - (kiz + ksz)
-            value = value * sinc(0.5 * length * mismatch)
+        value = _reduced_amplitude(u, kix, ksx, cfg, kind, amplitude_scale)
         if power == 2:
             value = value * value
         if obliquity:
@@ -375,7 +367,7 @@ def normalization(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
     result = _require_converged("norm", _integrate_reduced(cfg, kind, power=2))
     if not result.value > 0.0:
         raise ConvergenceError("norm integral is not positive", [result])
-    return Quantity(1.0 / math.sqrt(result.value), FilterFactor(g2=-1))
+    return _c_quantity(result.value)
 
 
 def photon_flux(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
@@ -390,10 +382,10 @@ def photon_flux(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
     weighted = _require_converged(
         "obliquity", _integrate_reduced(cfg, kind, power=2, obliquity=True)
     )
-    value = C_UM_PER_S * weighted.value / math.sqrt(norm2.value)
-    if not value > 0.0:
+    flux = _phi_quantity(norm2.value, weighted.value)
+    if not flux.value > 0.0:
         raise ConvergenceError("flux must be positive", [norm2, weighted])
-    return Quantity(value, FilterFactor(g2=1))
+    return flux
 
 
 def f_factor(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
@@ -406,7 +398,7 @@ def f_factor(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
     weighted = _require_converged(
         "obliquity", _integrate_reduced(cfg, kind, power=2, obliquity=True)
     )
-    return Quantity(coherent.value**2 / weighted.value, FilterFactor(g1=4, g2=-2))
+    return _f_quantity(coherent.value, weighted.value)
 
 
 @dataclass(frozen=True)
@@ -471,7 +463,6 @@ def enhancement_ratio(
     kernel = channel.kernel
 
     integrals: Dict[str, IntegralResult] = {}
-    parts: Dict[AmplitudeKind, Dict[str, IntegralResult]] = {}
     for kind in (AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE):
         coherent = _integrate_reduced(
             cfg_eff, kind, power=1, kernel=kernel, amplitude_scale=amplitude_scale
@@ -480,7 +471,6 @@ def enhancement_ratio(
         weighted = _integrate_reduced(
             cfg_eff, kind, power=2, obliquity=True, amplitude_scale=amplitude_scale
         )
-        parts[kind] = {"coherent": coherent, "norm2": norm2, "obliquity": weighted}
         label = "ent" if kind is AmplitudeKind.ENTANGLED else "sep"
         integrals[f"I1_{label}"] = coherent
         integrals[f"I2_{label}"] = norm2
@@ -493,20 +483,12 @@ def enhancement_ratio(
             [r for r in integrals.values() if not r.converged],
         )
 
-    def build(kind: AmplitudeKind):
-        p = parts[kind]
-        c_quantity = Quantity(1.0 / math.sqrt(p["norm2"].value), FilterFactor(g2=-1))
-        f_quantity = Quantity(
-            p["coherent"].value ** 2 / p["obliquity"].value, FilterFactor(g1=4, g2=-2)
-        )
-        phi_quantity = Quantity(
-            C_UM_PER_S * p["obliquity"].value / math.sqrt(p["norm2"].value),
-            FilterFactor(g2=1),
-        )
-        return c_quantity, f_quantity, phi_quantity
+    def build(label: str):
+        i1, i2, i2w = (integrals[f"{name}_{label}"].value for name in ("I1", "I2", "I2w"))
+        return _c_quantity(i2), _f_quantity(i1, i2w), _phi_quantity(i2, i2w)
 
-    c_ent, f_ent, phi_ent = build(AmplitudeKind.ENTANGLED)
-    c_sep, f_sep, phi_sep = build(AmplitudeKind.SEPARABLE)
+    c_ent, f_ent, phi_ent = build("ent")
+    c_sep, f_sep, phi_sep = build("sep")
 
     ratio = (c_ent / c_sep) * (f_ent / f_sep)
     assert ratio.factor.neutral, f"filter constants must cancel in R, got {ratio.factor}"

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .amplitude import AmplitudeKind, _delta_kz_6d, pump_envelope, sinc
+from .amplitude import _entangling_6d, _separable_6d
 from .observables import DIPOLE, Channel, KernelError
 from .quadrature import ConvergenceError, IntegralResult
 from .units import DomainError, ExperimentConfig, Reduction, Regime
@@ -177,6 +177,48 @@ def _jackknife(batch_values: np.ndarray, combine: Callable[[np.ndarray], float])
     return estimate, sigma
 
 
+def _run_batches(op: str, cfg: ExperimentConfig, spec: McSpec, box, width: int, accumulate):
+    """The sampler shared by both estimators.
+
+    Draws every batch from its own Philox stream, computes kz and zeroes the
+    weights of unphysical draws, then calls accumulate(weights, ki, ks),
+    which returns the batch's `width` accumulator sums and the per-sample
+    contributions the effective sample size is taken over. Returns the
+    (batches, width) sums, the ESS, the rejection fraction and the sample
+    count; raises ConvergenceError naming op on a zero ESS.
+    """
+    if box is not None and spec.importance is not ImportanceScheme.UNIFORM_BOX:
+        raise DomainError("an explicit box is only meaningful for uniform_box importance")
+    if spec.importance is ImportanceScheme.UNIFORM_BOX and box is None:
+        box = _default_box(cfg)
+
+    sizes = _batch_sizes(int(spec.samples))
+    sums = np.zeros((len(sizes), width))
+    accepted_w = 0.0
+    accepted_w2 = 0.0
+    rejected = 0
+
+    for index, size in enumerate(sizes):
+        rng = _batch_rng(spec.seed, index)
+        if spec.importance is ImportanceScheme.UNIFORM_BOX:
+            kx, ky, kappa, weights = _draw_uniform(rng, size, box)
+        else:
+            kx, ky, kappa, weights = _draw_gaussian(rng, size, cfg)
+        kz, valid = _physical_kz(kx, ky, kappa)
+        weights = np.where(valid, weights, 0.0)
+        rejected += int(np.count_nonzero(~valid))
+        sums[index], contributions = accumulate(
+            weights, (kx[0], ky[0], kz[0]), (kx[1], ky[1], kz[1])
+        )
+        accepted_w += float(np.sum(contributions))
+        accepted_w2 += float(np.sum(contributions**2))
+
+    if accepted_w == 0.0 or accepted_w2 == 0.0:
+        raise ConvergenceError(f"zero effective sample size in {op}")
+    total_samples = int(sum(sizes))
+    return sums, accepted_w**2 / accepted_w2, rejected / total_samples, total_samples
+
+
 def mc_integral(
     f: Callable,
     cfg: ExperimentConfig,
@@ -193,39 +235,14 @@ def mc_integral(
     a full6d config; identical (f, cfg, spec) reruns are bit-identical.
     """
     _check_full6d(cfg, "mc_integral")
-    if box is not None and spec.importance is not ImportanceScheme.UNIFORM_BOX:
-        raise DomainError("an explicit box is only meaningful for uniform_box importance")
-    if spec.importance is ImportanceScheme.UNIFORM_BOX and box is None:
-        box = _default_box(cfg)
 
-    sizes = _batch_sizes(int(spec.samples))
-    sums = np.zeros((len(sizes), 1))
-    accepted_w = 0.0
-    accepted_w2 = 0.0
-    rejected = 0
+    def accumulate(weights, ki, ks):
+        values = np.asarray(f(ki, ks), dtype=float)
+        return (np.sum(weights * values),), np.abs(weights * values)
 
-    for index, size in enumerate(sizes):
-        rng = _batch_rng(spec.seed, index)
-        if spec.importance is ImportanceScheme.UNIFORM_BOX:
-            kx, ky, kappa, weights = _draw_uniform(rng, size, box)
-        else:
-            kx, ky, kappa, weights = _draw_gaussian(rng, size, cfg)
-        kz, valid = _physical_kz(kx, ky, kappa)
-        weights = np.where(valid, weights, 0.0)
-        rejected += int(np.count_nonzero(~valid))
-        values = np.asarray(
-            f((kx[0], ky[0], kz[0]), (kx[1], ky[1], kz[1])), dtype=float
-        )
-        contributions = np.abs(weights * values)
-        sums[index, 0] = float(np.sum(weights * values))
-        accepted_w += float(np.sum(contributions))
-        accepted_w2 += float(np.sum(contributions**2))
-
-    total_samples = int(sum(sizes))
-    if accepted_w == 0.0 or accepted_w2 == 0.0:
-        raise ConvergenceError("zero effective sample size in mc_integral")
-    ess = accepted_w**2 / accepted_w2
-
+    sums, ess, rejection, total_samples = _run_batches(
+        "mc_integral", cfg, spec, box, 1, accumulate
+    )
     value, sigma = _jackknife(sums, lambda t: float(t[0]) / total_samples)
     return McIntegralResult(
         value=value,
@@ -233,34 +250,11 @@ def mc_integral(
         evals=total_samples,
         converged=bool(np.isfinite(value) and np.isfinite(sigma) and ess >= 100.0),
         method=f"mc_{spec.importance.value}",
-        rejection_fraction=rejected / total_samples,
+        rejection_fraction=rejection,
         effective_sample_size=ess,
-        batches=len(sizes),
+        batches=len(sums),
         prng=PRNG_ID,
     )
-
-
-def _amplitude_parts(cfg: ExperimentConfig, ki, ks, amplitude_scale: float):
-    """Common separable factor and the entangling sinc, sharing the work."""
-    kix, kiy, kiz = ki
-    ksx, ksy, ksz = ks
-    k0 = cfg.k0
-    mag_i = np.sqrt(kix**2 + kiy**2 + kiz**2)
-    mag_s = np.sqrt(ksx**2 + ksy**2 + ksz**2)
-    common = amplitude_scale * pump_envelope(
-        kix + ksx, kiy + ksy, cfg.pump_waist_um, cfg.pump_waist_y
-    )
-    common = common * np.exp(-0.5 * (cfg.filter_omega_um * (mag_i - k0)) ** 2)
-    common = common * np.exp(-0.5 * (cfg.filter_omega_um * (mag_s - k0)) ** 2)
-    common = common * np.exp(-0.5 * (cfg.filter_omega_y_um * kiy) ** 2)
-    common = common * np.exp(-0.5 * (cfg.filter_omega_y_um * ksy) ** 2)
-    mismatch = _delta_kz_6d(kix, kiy, kiz, ksx, ksy, ksz, cfg.regime)
-    entangling = sinc(0.5 * cfg.crystal_length_um * mismatch)
-    if cfg.regime is Regime.PARAXIAL:
-        obliquity = np.full_like(mag_i, 2.0)
-    else:
-        obliquity = kiz / mag_i + ksz / mag_s
-    return common, entangling, obliquity
 
 
 def mc_enhancement_ratio(
@@ -285,44 +279,28 @@ def mc_enhancement_ratio(
     if not amplitude_scale > 0.0:
         raise DomainError(f"amplitude_scale must be > 0, got {amplitude_scale!r}")
     cfg_eff = cfg.replace(channel_energy_ev=channel.transition_energy_ev)
+    paraxial = cfg_eff.regime is Regime.PARAXIAL
 
-    sizes = _batch_sizes(int(spec.samples))
-    # per batch: sums of [F_ent, F_ent^2, F_ent^2 w, F_sep, F_sep^2, F_sep^2 w]
-    sums = np.zeros((len(sizes), 6))
-    accepted_w = 0.0
-    accepted_w2 = 0.0
-    rejected = 0
+    def accumulate(weights, ki, ks):
+        f_sep, mag_i, mag_s = _separable_6d(ki, ks, cfg_eff, amplitude_scale)
+        f_ent = f_sep * _entangling_6d(ki, ks, mag_i, mag_s, cfg_eff)
+        obliquity = 2.0 if paraxial else ki[2] / mag_i + ks[2] / mag_s
+        # sums of [F_ent, F_ent^2, F_ent^2 w, F_sep, F_sep^2, F_sep^2 w]; the
+        # effective sample size is over the dominant positive accumulator,
+        # since F_sep^2 bounds every other integrand pointwise
+        sums = (
+            np.sum(weights * f_ent),
+            np.sum(weights * f_ent**2),
+            np.sum(weights * f_ent**2 * obliquity),
+            np.sum(weights * f_sep),
+            np.sum(weights * f_sep**2),
+            np.sum(weights * f_sep**2 * obliquity),
+        )
+        return sums, np.abs(weights * f_sep**2)
 
-    for index, size in enumerate(sizes):
-        rng = _batch_rng(spec.seed, index)
-        if spec.importance is ImportanceScheme.UNIFORM_BOX:
-            kx, ky, kappa, weights = _draw_uniform(rng, size, _default_box(cfg_eff))
-        else:
-            kx, ky, kappa, weights = _draw_gaussian(rng, size, cfg_eff)
-        kz, valid = _physical_kz(kx, ky, kappa)
-        weights = np.where(valid, weights, 0.0)
-        rejected += int(np.count_nonzero(~valid))
-        ki = (kx[0], ky[0], kz[0])
-        ks = (kx[1], ky[1], kz[1])
-        common, entangling, obliquity = _amplitude_parts(cfg_eff, ki, ks, amplitude_scale)
-        f_sep = common
-        f_ent = common * entangling
-        sums[index, 0] = np.sum(weights * f_ent)
-        sums[index, 1] = np.sum(weights * f_ent**2)
-        sums[index, 2] = np.sum(weights * f_ent**2 * obliquity)
-        sums[index, 3] = np.sum(weights * f_sep)
-        sums[index, 4] = np.sum(weights * f_sep**2)
-        sums[index, 5] = np.sum(weights * f_sep**2 * obliquity)
-        # effective sample size over the dominant positive accumulator;
-        # F_sep^2 bounds every other integrand pointwise
-        contributions = np.abs(weights * f_sep**2)
-        accepted_w += float(np.sum(contributions))
-        accepted_w2 += float(np.sum(contributions**2))
-
-    if accepted_w == 0.0 or accepted_w2 == 0.0:
-        raise ConvergenceError("zero effective sample size in mc_enhancement_ratio")
-    ess = accepted_w**2 / accepted_w2
-    total_samples = int(sum(sizes))
+    sums, ess, rejection, total_samples = _run_batches(
+        "mc_enhancement_ratio", cfg_eff, spec, None, 6, accumulate
+    )
 
     def combine(t):
         i1e, i2e, i2we, i1s, i2s, i2ws = (float(x) for x in t)
@@ -337,24 +315,17 @@ def mc_enhancement_ratio(
         raise ConvergenceError("mc_enhancement_ratio produced a non-finite ratio")
 
     totals = sums.sum(axis=0) / total_samples
-    diagnostics = {
-        "I1_ent": float(totals[0]),
-        "I2_ent": float(totals[1]),
-        "I2w_ent": float(totals[2]),
-        "I1_sep": float(totals[3]),
-        "I2_sep": float(totals[4]),
-        "I2w_sep": float(totals[5]),
-    }
+    names = ("I1_ent", "I2_ent", "I2w_ent", "I1_sep", "I2_sep", "I2w_sep")
     return McRatioResult(
         R=ratio,
         sigma_R=sigma,
         regime=cfg_eff.regime,
         channel=channel.name,
-        rejection_fraction=rejected / total_samples,
+        rejection_fraction=rejection,
         effective_sample_size=ess,
-        batches=len(sizes),
+        batches=len(sums),
         prng=PRNG_ID,
-        diagnostics=diagnostics,
+        diagnostics={name: float(total) for name, total in zip(names, totals)},
     )
 
 

@@ -115,18 +115,8 @@ class SweepRecord:
     error: Optional[str] = None
 
     def row(self) -> Tuple:
-        return (
-            self.L_um,
-            self.omega_p_um,
-            self.channel,
-            self.regime,
-            self.R,
-            self.f_ent,
-            self.f_sep,
-            self.C_ratio,
-            self.err_R,
-            self.converged,
-        )
+        # the field names are the CSV column names
+        return tuple(getattr(self, column) for column in CSV_COLUMNS)
 
 
 def _worker_count(requested: Optional[int]) -> int:

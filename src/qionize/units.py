@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import io
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -76,6 +78,10 @@ class QuadratureSpec:
             raise ConfigError(f"quadrature.rel_tol must be > 0, got {self.rel_tol!r}")
         if not self.abs_tol >= 0.0:
             raise ConfigError(f"quadrature.abs_tol must be >= 0, got {self.abs_tol!r}")
+        for name in ("rel_tol", "abs_tol", "max_evals", "seed"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"quadrature.{name} must be finite, got {value!r}")
         if int(self.max_evals) < 1:
             raise ConfigError(f"quadrature.max_evals must be >= 1, got {self.max_evals!r}")
 
@@ -107,18 +113,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for field in (
             "pump_waist_um",
+            "pump_waist_y_um",
             "crystal_length_um",
             "filter_omega_um",
             "filter_omega_y_um",
             "channel_energy_ev",
         ):
             value = getattr(self, field)
+            if value is None and field == "pump_waist_y_um":
+                continue
             if not (isinstance(value, (int, float)) and value > 0.0):
                 raise ConfigError(f"{field} must be a positive number, got {value!r}")
-        if self.pump_waist_y_um is not None and not self.pump_waist_y_um > 0.0:
-            raise ConfigError(
-                f"pump_waist_y_um must be a positive number, got {self.pump_waist_y_um!r}"
-            )
+            if not math.isfinite(value):
+                raise ConfigError(f"{field} must be finite, got {value!r}")
         if not isinstance(self.regime, Regime):
             raise ConfigError(f"regime must be a Regime, got {self.regime!r}")
         if not isinstance(self.reduction, Reduction):
@@ -137,20 +144,6 @@ class ExperimentConfig:
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
-
-
-# keys accepted by the flat config format, in canonical dump order
-_SCALAR_KEYS = (
-    "pump_waist_um",
-    "pump_waist_y_um",
-    "crystal_length_um",
-    "filter_omega_um",
-    "filter_omega_y_um",
-    "channel_energy_ev",
-    "regime",
-    "reduction",
-)
-_QUAD_KEYS = ("method", "rel_tol", "abs_tol", "max_evals", "seed")
 
 
 def _parse_pairs(text: str, source: str) -> dict:
@@ -182,7 +175,7 @@ def _coerce_float(key: str, value: str) -> float:
 def _coerce_int(key: str, value: str) -> int:
     try:
         return int(float(value))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
@@ -192,6 +185,25 @@ def _coerce_enum(key: str, value: str, enum_cls):
     except ValueError:
         allowed = ", ".join(member.value for member in enum_cls)
         raise ConfigError(f"{key} must be one of {{{allowed}}}, got {value!r}") from None
+
+
+# The flat config format: every accepted key with the parser of its value,
+# in canonical dump order. A dotted key sets a QuadratureSpec field.
+_FORMAT = {
+    "pump_waist_um": _coerce_float,
+    "pump_waist_y_um": _coerce_float,
+    "crystal_length_um": _coerce_float,
+    "filter_omega_um": _coerce_float,
+    "filter_omega_y_um": _coerce_float,
+    "channel_energy_ev": _coerce_float,
+    "regime": functools.partial(_coerce_enum, enum_cls=Regime),
+    "reduction": functools.partial(_coerce_enum, enum_cls=Reduction),
+    "quadrature.method": functools.partial(_coerce_enum, enum_cls=QuadratureMethod),
+    "quadrature.rel_tol": _coerce_float,
+    "quadrature.abs_tol": _coerce_float,
+    "quadrature.max_evals": _coerce_int,
+    "quadrature.seed": _coerce_int,
+}
 
 
 def load_config(path_or_file: Union[str, "io.TextIOBase"]) -> ExperimentConfig:
@@ -214,25 +226,10 @@ def load_config(path_or_file: Union[str, "io.TextIOBase"]) -> ExperimentConfig:
     kwargs = {}
     quad_kwargs = {}
     for key, value in pairs.items():
-        if key in ("pump_waist_um", "pump_waist_y_um", "crystal_length_um",
-                   "filter_omega_um", "filter_omega_y_um", "channel_energy_ev"):
-            kwargs[key] = _coerce_float(key, value)
-        elif key == "regime":
-            kwargs[key] = _coerce_enum(key, value, Regime)
-        elif key == "reduction":
-            kwargs[key] = _coerce_enum(key, value, Reduction)
-        elif key == "quadrature.method":
-            quad_kwargs["method"] = _coerce_enum(key, value, QuadratureMethod)
-        elif key == "quadrature.rel_tol":
-            quad_kwargs["rel_tol"] = _coerce_float(key, value)
-        elif key == "quadrature.abs_tol":
-            quad_kwargs["abs_tol"] = _coerce_float(key, value)
-        elif key == "quadrature.max_evals":
-            quad_kwargs["max_evals"] = _coerce_int(key, value)
-        elif key == "quadrature.seed":
-            quad_kwargs["seed"] = _coerce_int(key, value)
-        else:
+        if key not in _FORMAT:
             raise ConfigError(f"{source}: unknown config key {key!r}")
+        section, _, name = key.rpartition(".")
+        (quad_kwargs if section else kwargs)[name] = _FORMAT[key](key, value)
 
     if quad_kwargs:
         kwargs["quadrature"] = QuadratureSpec(**quad_kwargs)
@@ -245,18 +242,13 @@ def dump_config(cfg: ExperimentConfig) -> str:
     Round-trips: load_config(io.StringIO(dump_config(cfg))) == cfg.
     """
     lines = []
-    for key in _SCALAR_KEYS:
-        value = getattr(cfg, key)
+    for key in _FORMAT:
+        section, _, name = key.rpartition(".")
+        value = getattr(cfg.quadrature if section else cfg, name)
         if value is None:
             continue
         if isinstance(value, enum.Enum):
             lines.append(f"{key} = {value.value}")
         else:
             lines.append(f"{key} = {value!r}")
-    quad = cfg.quadrature
-    lines.append(f"quadrature.method = {quad.method.value}")
-    lines.append(f"quadrature.rel_tol = {quad.rel_tol!r}")
-    lines.append(f"quadrature.abs_tol = {quad.abs_tol!r}")
-    lines.append(f"quadrature.max_evals = {quad.max_evals!r}")
-    lines.append(f"quadrature.seed = {quad.seed!r}")
     return "\n".join(lines) + "\n"

@@ -279,3 +279,29 @@ def test_eval_amplitude_detuned_frequencies_attenuate():
     off = eval_amplitude((0.0, 0.0, k0 + 5e-6), (0.0, 0.0, k0), cfg, AmplitudeKind.SEPARABLE)
     assert off < on
     assert on == pytest.approx(1.0, rel=1e-12)
+
+
+def test_eval_amplitude_is_zero_where_a_photon_runs_backward():
+    # a wide frequency filter: the spectral Gaussian stays far from zero at
+    # the backward photons' zeroed kz, so only the forward mask zeroes them
+    cfg = ExperimentConfig(pump_waist_um=12.0, crystal_length_um=3.0, filter_omega_um=1e-2)
+    k0 = cfg.k0
+    rng = np.random.default_rng(3)
+    # anti-correlated kx keep the pump sum inside the envelope
+    kix = rng.uniform(-0.5, 0.5, size=40) * k0
+    kx = np.stack([kix, -kix + rng.normal(0.0, 0.05, size=40)])
+    ky = rng.normal(0.0, 1e-7, size=(2, 40))
+    kz = np.sqrt(k0**2 - kx**2 - ky**2)
+    backward = np.zeros((2, 40), dtype=bool)
+    backward[0, :10] = True  # idler only
+    backward[1, 5:15] = True  # signal only, and both for 5:10
+    signed_kz = np.where(backward, -kz, kz)
+    hit = backward.any(axis=0)
+    for kind in AmplitudeKind:
+        forward = eval_amplitude((kx[0], ky[0], kz[0]), (kx[1], ky[1], kz[1]), cfg, kind)
+        mixed = eval_amplitude(
+            (kx[0], ky[0], signed_kz[0]), (kx[1], ky[1], signed_kz[1]), cfg, kind
+        )
+        assert np.all(mixed[hit] == 0.0)
+        assert np.array_equal(mixed[~hit], forward[~hit])
+        assert np.all(forward != 0.0)

@@ -152,3 +152,47 @@ def test_reduced_vs_full_check_row():
     assert row.tolerance == max(0.05, 3.0 * row.sigma_full / abs(row.R_full))
     assert row.rel_deviation == abs(row.R_reduced / row.R_full - 1.0)
     assert row.rel_deviation <= row.tolerance
+
+
+@pytest.mark.parametrize("importance", list(ImportanceScheme))
+@pytest.mark.parametrize("cfg", default_check_configs(2, 5))
+def test_mc_integral_of_squared_amplitude_matches_ratio_accumulators(cfg, importance):
+    # both estimators draw the same samples and evaluate the same amplitude,
+    # so only the summation order of the batch totals may differ
+    spec = McSpec(samples=MIN_SAMPLES, seed=17, importance=importance)
+    ratio = mc_enhancement_ratio(cfg, spec)
+    for kind, key in ((AmplitudeKind.ENTANGLED, "I2_ent"), (AmplitudeKind.SEPARABLE, "I2_sep")):
+        integral = mc_integral(
+            lambda ki, ks: eval_amplitude(ki, ks, cfg, kind) ** 2, cfg, spec
+        )
+        assert integral.value == pytest.approx(ratio.diagnostics[key], rel=1e-13, abs=0.0)
+
+
+# (R, sigma_R, I1_ent) of mc_enhancement_ratio and (value, error) of
+# mc_integral of |F_ent|^2 at default_check_configs(2, 5)[0], 1e5 samples, seed 17
+MC_PINS = {
+    ImportanceScheme.UNIFORM_BOX: (
+        (0.14066412122979247, 34.75141522815933, 4.016202696132176e-33),
+        (1.2402961250446557e-35, 8.421559444178633e-36),
+    ),
+    ImportanceScheme.GAUSSIAN_PROPOSAL: (
+        (0.2611564256493265, 0.003872418699120077, 2.230691500417375e-30),
+        (3.7252944089606393e-31, 3.3369429303502086e-33),
+    ),
+}
+
+
+@pytest.mark.parametrize("importance", list(ImportanceScheme))
+def test_mc_estimators_regression_pin(importance):
+    cfg = default_check_configs(2, 5)[0]
+    spec = McSpec(samples=MIN_SAMPLES, seed=17, importance=importance)
+    ratio = mc_enhancement_ratio(cfg, spec)
+    integral = mc_integral(
+        lambda ki, ks: eval_amplitude(ki, ks, cfg, AmplitudeKind.ENTANGLED) ** 2, cfg, spec
+    )
+    ratio_pin, integral_pin = MC_PINS[importance]
+    got = (ratio.R, ratio.sigma_R, ratio.diagnostics["I1_ent"])
+    assert got == pytest.approx(ratio_pin, rel=1e-12, abs=0.0)
+    assert (integral.value, integral.error_estimate) == pytest.approx(
+        integral_pin, rel=1e-12, abs=0.0
+    )

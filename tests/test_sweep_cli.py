@@ -237,6 +237,19 @@ def test_cli_ratio_rejects_bad_length(capsys):
     assert "crystal_length_um" in capsys.readouterr().err
 
 
+def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
+    assert main(["ratio", "--length", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert "crystal_length_um" in err
+    assert "Traceback" not in err
+    path = tmp_path / "inf.cfg"
+    path.write_text("quadrature.max_evals = inf\n")
+    assert main(["ratio", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "quadrature.max_evals" in err
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_unknown_regime(capsys):
     assert main(["ratio", "--regime", "bogus"]) == 1
     assert "error" in capsys.readouterr().err

@@ -88,6 +88,12 @@ def test_config_validation_names_offending_field():
         ExperimentConfig(filter_omega_um=-2.0)
     with pytest.raises(ConfigError, match="channel_energy"):
         ExperimentConfig(channel_energy_ev=0.0)
+    with pytest.raises(ConfigError, match="crystal_length"):
+        ExperimentConfig(crystal_length_um=math.inf)
+    with pytest.raises(ConfigError, match="pump_waist_y"):
+        ExperimentConfig(pump_waist_y_um=math.inf)
+    with pytest.raises(ConfigError, match="filter_omega_y"):
+        ExperimentConfig(filter_omega_y_um=math.inf)
 
 
 def test_quadrature_spec_validation():
@@ -97,6 +103,14 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=-1e-3)
     with pytest.raises(ConfigError, match="max_evals"):
         QuadratureSpec(max_evals=0)
+    with pytest.raises(ConfigError, match="rel_tol"):
+        QuadratureSpec(rel_tol=math.inf)
+    with pytest.raises(ConfigError, match="abs_tol"):
+        QuadratureSpec(abs_tol=math.inf)
+    with pytest.raises(ConfigError, match="max_evals"):
+        QuadratureSpec(max_evals=math.inf)
+    with pytest.raises(ConfigError, match="seed"):
+        QuadratureSpec(seed=math.inf)
 
 
 def test_enum_string_values():
