@@ -218,7 +218,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConvergenceError as exc:
         print(f"qionize: not converged: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

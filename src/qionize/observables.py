@@ -20,7 +20,7 @@ import numpy as np
 
 from .amplitude import AmplitudeKind, _reduced_amplitude, check_narrowband_guard
 from .quadrature import ConvergenceError, IntegralResult, integrate_2d
-from .units import C_UM_PER_S, DomainError, ExperimentConfig, Regime
+from .units import C_UM_PER_S, DEFAULT_CHANNEL_ENERGY_EV, DomainError, ExperimentConfig, Regime
 
 __all__ = [
     "Parity",
@@ -191,7 +191,7 @@ class Channel:
         return dataclasses.replace(self, kernel=kernel)
 
 
-DIPOLE = Channel("dipole", 3.753293, 1, Parity.ODD)
+DIPOLE = Channel("dipole", DEFAULT_CHANNEL_ENERGY_EV, 1, Parity.ODD)
 QUADRUPOLE = Channel("quadrupole", 4.283461, 2, Parity.EVEN)
 OCTUPOLE = Channel("octupole", 4.288194, 3, Parity.ODD)
 HEXADECAPOLE = Channel("hexadecapole", 4.594759, 4, Parity.EVEN)

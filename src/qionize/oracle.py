@@ -41,6 +41,8 @@ PRNG_ID = "numpy-philox4x64/seedseq-per-batch"
 _PUMP_PROPOSAL_WIDTH = 1.2
 
 MIN_SAMPLES = 100_000
+# fewest effective samples for either estimator to report converged
+MIN_ESS = 100.0
 
 
 class ImportanceScheme(enum.Enum):
@@ -77,6 +79,8 @@ class McRatioResult:
 
     R: float
     sigma_R: float
+    # mc_integral's rule: R and sigma_R finite, effective sample size >= MIN_ESS
+    converged: bool
     regime: Regime
     channel: str
     rejection_fraction: float
@@ -248,7 +252,7 @@ def mc_integral(
         value=value,
         error_estimate=sigma,
         evals=total_samples,
-        converged=bool(np.isfinite(value) and np.isfinite(sigma) and ess >= 100.0),
+        converged=bool(np.isfinite(value) and np.isfinite(sigma) and ess >= MIN_ESS),
         method=f"mc_{spec.importance.value}",
         rejection_fraction=rejection,
         effective_sample_size=ess,
@@ -319,6 +323,7 @@ def mc_enhancement_ratio(
     return McRatioResult(
         R=ratio,
         sigma_R=sigma,
+        converged=math.isfinite(sigma) and ess >= MIN_ESS,
         regime=cfg_eff.regime,
         channel=channel.name,
         rejection_fraction=rejection,
@@ -369,7 +374,8 @@ def reduced_vs_full_check(
 ) -> CrossCheckRow:
     """Compare the reduced-path ratio against the 6D Monte Carlo ratio.
 
-    Agreement means |R_reduced / R_full - 1| <= max(rel_floor, 3 sigma / R_full).
+    Agreement means the Monte Carlo ratio converged and
+    |R_reduced / R_full - 1| <= max(rel_floor, 3 sigma / R_full).
     """
     from .observables import enhancement_ratio
 
@@ -384,5 +390,5 @@ def reduced_vs_full_check(
         sigma_full=full.sigma_R,
         rel_deviation=deviation,
         tolerance=tolerance,
-        agrees=deviation <= tolerance,
+        agrees=full.converged and deviation <= tolerance,
     )

@@ -1,17 +1,11 @@
 """Deterministic 2D quadrature over rectangles.
 
-Two interchangeable methods behind one entry point:
+One rule: a panelized 16-point Gauss-Legendre product rule, refined by
+doubling the panel count of whichever axis contributes the larger
+last-doubling delta. The caller hints a starting resolution per axis.
 
-* tensor_gauss: panelized 16-point Gauss-Legendre product rule, refined by
-  doubling the panel count of whichever axis contributes the larger
-  last-doubling delta. Fast for smooth or mildly oscillatory integrands when
-  the caller hints a sensible starting resolution.
-* adaptive_subdivision: global heap of cells refined largest-error-first,
-  with an embedded GL8/GL16 error estimate per cell and deterministic
-  lexicographic tie-breaking.
-
-Both are open rules (no endpoint evaluations), fully deterministic, and
-account every integrand evaluation toward max_evals. A tensor grid is never
+The rule is open (no endpoint evaluations), fully deterministic, and
+accounts every integrand evaluation toward max_evals. A tensor grid is never
 built whole: the integrand is called on row blocks of it, about BLOCK_NODES
 nodes each, and each block is reduced before the next is evaluated.
 Integrands must therefore be pointwise (a node's value depends on its own
@@ -21,13 +15,12 @@ Integrands must therefore be pointwise (a node's value depends on its own
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .units import DomainError, QuadratureMethod, QuadratureSpec
+from .units import DomainError, QuadratureSpec
 
 __all__ = [
     "IntegralResult",
@@ -36,7 +29,6 @@ __all__ = [
 ]
 
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 # integrand nodes per call of the tensor rule: a block's float64 temporaries
 # (128 KiB each) stay in a per-core L2 cache; the fastest of 2^13..2^17 on
@@ -175,59 +167,6 @@ def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels):
             return IntegralResult(best, err, evals, False, "tensor_gauss")
 
 
-def _cell_estimate(f, x0, x1, y0, y1):
-    coarse, n8 = _tensor_eval(f, x0, x1, y0, y1, 1, 1, _GL8_X, _GL8_W)
-    fine, n16 = _tensor_eval(f, x0, x1, y0, y1, 1, 1, _GL16_X, _GL16_W)
-    return fine, abs(fine - coarse), n8 + n16
-
-
-def _adaptive_subdivision(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels):
-    # seed the heap with a uniform initial split so caller hints still help
-    nx, ny = initial_panels
-    nx = max(1, int(nx))
-    ny = max(1, int(ny))
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-
-    evals = 0
-    total_value = 0.0
-    total_err = 0.0
-    heap = []
-    for i in range(nx):
-        for j in range(ny):
-            v, e, n = _cell_estimate(f, xs[i], xs[i + 1], ys[j], ys[j + 1])
-            evals += n
-            total_value += v
-            total_err += e
-            # key: largest error first, then lexicographic cell coords
-            heapq.heappush(heap, (-e, xs[i], ys[j], xs[i + 1], ys[j + 1], v))
-
-    max_evals = int(spec.max_evals)
-    while True:
-        tol = max(spec.rel_tol * abs(total_value), spec.abs_tol)
-        if total_err <= tol:
-            # seeding may overdraw a tiny budget; same rule as tensor_gauss
-            return IntegralResult(
-                total_value, total_err, evals, evals <= max_evals, "adaptive_subdivision"
-            )
-        if evals + 2 * (64 + 256) > max_evals or not heap:
-            return IntegralResult(total_value, total_err, evals, False, "adaptive_subdivision")
-
-        neg_err, cx0, cy0, cx1, cy1, cvalue = heapq.heappop(heap)
-        total_value -= cvalue
-        total_err -= -neg_err
-        if cx1 - cx0 >= cy1 - cy0:
-            mids = ((cx0, cy0, 0.5 * (cx0 + cx1), cy1), (0.5 * (cx0 + cx1), cy0, cx1, cy1))
-        else:
-            mids = ((cx0, cy0, cx1, 0.5 * (cy0 + cy1)), (cx0, 0.5 * (cy0 + cy1), cx1, cy1))
-        for bx0, by0, bx1, by1 in mids:
-            v, e, n = _cell_estimate(f, bx0, bx1, by0, by1)
-            evals += n
-            total_value += v
-            total_err += e
-            heapq.heappush(heap, (-e, bx0, by0, bx1, by1, v))
-
-
 def integrate_2d(
     f: Callable,
     domain,
@@ -241,13 +180,9 @@ def integrate_2d(
     row y[None, :] of all y nodes, and must return the
     (len(x_blk), len(y)) array of values, each depending only on its own
     node. initial_panels is a performance hint (starting resolution per
-    axis); it never changes what converged means, only how fast the method
+    axis); it never changes what converged means, only how fast the rule
     gets there. Identical inputs produce bit-identical results.
     """
     spec = spec if spec is not None else QuadratureSpec()
     x0, x1, y0, y1 = _check_domain(domain)
-    if spec.method is QuadratureMethod.TENSOR_GAUSS:
-        return _tensor_gauss(f, x0, x1, y0, y1, spec, initial_panels)
-    if spec.method is QuadratureMethod.ADAPTIVE_SUBDIVISION:
-        return _adaptive_subdivision(f, x0, x1, y0, y1, spec, initial_panels)
-    raise DomainError(f"unknown quadrature method {spec.method!r}")
+    return _tensor_gauss(f, x0, x1, y0, y1, spec, initial_panels)

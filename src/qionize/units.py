@@ -52,33 +52,24 @@ class Reduction(enum.Enum):
     FULL_6D = "full6d"
 
 
-class QuadratureMethod(enum.Enum):
-    ADAPTIVE_SUBDIVISION = "adaptive_subdivision"
-    TENSOR_GAUSS = "tensor_gauss"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Deterministic integration controls shared by all quadrature calls.
 
     converged results satisfy
     error_estimate <= max(rel_tol * |value|, abs_tol).
-    seed only matters for stochastic cross-checks; the quadrature itself is
-    deterministic.
     """
 
-    method: QuadratureMethod = QuadratureMethod.TENSOR_GAUSS
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
     max_evals: int = 10_000_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0.0:
             raise ConfigError(f"quadrature.rel_tol must be > 0, got {self.rel_tol!r}")
         if not self.abs_tol >= 0.0:
             raise ConfigError(f"quadrature.abs_tol must be >= 0, got {self.abs_tol!r}")
-        for name in ("rel_tol", "abs_tol", "max_evals", "seed"):
+        for name in ("rel_tol", "abs_tol", "max_evals"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"quadrature.{name} must be finite, got {value!r}")
@@ -198,10 +189,21 @@ _FORMAT = {
     "channel_energy_ev": _coerce_float,
     "regime": functools.partial(_coerce_enum, enum_cls=Regime),
     "reduction": functools.partial(_coerce_enum, enum_cls=Reduction),
-    "quadrature.method": functools.partial(_coerce_enum, enum_cls=QuadratureMethod),
     "quadrature.rel_tol": _coerce_float,
     "quadrature.abs_tol": _coerce_float,
     "quadrature.max_evals": _coerce_int,
+}
+
+
+def _retired_method(key: str, value: str) -> None:
+    if value.strip().lower() != "tensor_gauss":
+        raise ConfigError(f"{key} must be tensor_gauss, the only quadrature rule, got {value!r}")
+
+
+# Keys that older files carry and nothing reads any more: each value is
+# still checked by its parser, then dropped; dump_config no longer writes them.
+_RETIRED = {
+    "quadrature.method": _retired_method,
     "quadrature.seed": _coerce_int,
 }
 
@@ -209,9 +211,9 @@ _FORMAT = {
 def load_config(path_or_file: Union[str, "io.TextIOBase"]) -> ExperimentConfig:
     """Read an ExperimentConfig from a flat ``key = value`` file.
 
-    Unknown keys are rejected with the offending name; missing keys fall
-    back to the dataclass defaults. Quadrature settings use dotted keys
-    (``quadrature.rel_tol`` etc). ``#`` starts a comment.
+    Unknown keys are rejected with the offending name, retired ones checked
+    and ignored; missing keys fall back to the dataclass defaults. Quadrature
+    settings use dotted keys (``quadrature.rel_tol`` etc). ``#`` starts a comment.
     """
     if hasattr(path_or_file, "read"):
         text = path_or_file.read()
@@ -226,6 +228,9 @@ def load_config(path_or_file: Union[str, "io.TextIOBase"]) -> ExperimentConfig:
     kwargs = {}
     quad_kwargs = {}
     for key, value in pairs.items():
+        if key in _RETIRED:
+            _RETIRED[key](key, value)
+            continue
         if key not in _FORMAT:
             raise ConfigError(f"{source}: unknown config key {key!r}")
         section, _, name = key.rpartition(".")

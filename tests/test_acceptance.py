@@ -15,7 +15,7 @@ from conftest import record_acceptance
 from qionize.amplitude import AmplitudeKind, delta_kz_exact, delta_kz_paraxial, eval_reduced
 from qionize.observables import enhancement_ratio, make_synthetic_kernel, Parity
 from qionize.oracle import McSpec, default_check_configs, reduced_vs_full_check
-from qionize.quadrature import QuadratureMethod, integrate_2d
+from qionize.quadrature import integrate_2d
 from qionize.sweep import load_preset, run_sweep
 from qionize.units import ExperimentConfig, QuadratureSpec, Regime
 

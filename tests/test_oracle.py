@@ -8,6 +8,7 @@ import pytest
 from qionize.amplitude import AmplitudeKind, eval_amplitude
 from qionize.observables import QUADRUPOLE, KernelError, enhancement_ratio, normalization
 from qionize.oracle import (
+    MIN_ESS,
     MIN_SAMPLES,
     PRNG_ID,
     CrossCheckRow,
@@ -196,3 +197,19 @@ def test_mc_estimators_regression_pin(importance):
     assert (integral.value, integral.error_estimate) == pytest.approx(
         integral_pin, rel=1e-12, abs=0.0
     )
+
+
+@pytest.mark.parametrize(
+    "importance, converged", [(ImportanceScheme.UNIFORM_BOX, False),
+                              (ImportanceScheme.GAUSSIAN_PROPOSAL, True)]
+)
+def test_unconverged_mc_ratio_never_agrees(importance, converged):
+    # the uniform box misses the pump here: ESS ~ 1.7 and a 3 sigma / R
+    # tolerance of ~741, wide enough to pass any reduced R
+    cfg = default_check_configs(2, 5)[0]
+    spec = McSpec(samples=MIN_SAMPLES, seed=17, importance=importance)
+    ratio = mc_enhancement_ratio(cfg, spec)
+    assert ratio.converged is converged
+    assert (ratio.effective_sample_size >= MIN_ESS) is converged
+    row = reduced_vs_full_check(cfg, spec)
+    assert row.agrees is converged

@@ -7,11 +7,10 @@ import pytest
 
 from qionize import quadrature
 from qionize.quadrature import ConvergenceError, IntegralResult, integrate_2d
-from qionize.units import DomainError, QuadratureMethod, QuadratureSpec
+from qionize.units import DomainError, QuadratureSpec
 
 TIGHT = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
-ADAPTIVE = QuadratureSpec(method=QuadratureMethod.ADAPTIVE_SUBDIVISION, rel_tol=1e-9, abs_tol=1e-12)
-METHODS = (TIGHT, ADAPTIVE)
+METHODS = (TIGHT,)
 
 
 def _gauss_1d(a: float, mu: float, lo: float, hi: float) -> float:
@@ -27,7 +26,7 @@ def test_polynomial_exactness_both_methods():
         res = integrate_2d(lambda x, y: x**3 * y**2 + 2.0, ((0.0, 2.0), (-1.0, 1.0)), spec)
         assert res.converged
         assert res.value == pytest.approx(truth, rel=1e-12)
-        assert res.method == spec.method.value
+        assert res.method == "tensor_gauss"
 
 
 def test_gaussian_product_matches_erf_closed_form():
@@ -127,12 +126,12 @@ def test_budget_exhaustion_reports_not_converged():
 
 
 def test_adaptive_subdivision_handles_peaked_integrand():
-    # narrow bump off-center: adaptive refinement must localize it
+    # narrow bump off-center: refinement must resolve it
     def f(x, y):
         return np.exp(-400.0 * ((x - 0.73) ** 2 + (y - 0.31) ** 2))
 
     truth = _gauss_1d(400.0, 0.73, 0.0, 1.0) * _gauss_1d(400.0, 0.31, 0.0, 1.0)
-    res = integrate_2d(f, ((0.0, 1.0), (0.0, 1.0)), ADAPTIVE)
+    res = integrate_2d(f, ((0.0, 1.0), (0.0, 1.0)), TIGHT)
     assert res.converged
     assert res.value == pytest.approx(truth, rel=1e-7)
 
@@ -142,9 +141,10 @@ def test_methods_agree_on_smooth_integrand():
         return np.cos(x + 0.3 * y) * np.exp(-0.2 * x * x)
 
     domain = ((-2.0, 2.0), (-1.0, 1.0))
-    v1 = integrate_2d(f, domain, TIGHT).value
-    v2 = integrate_2d(f, domain, ADAPTIVE).value
-    assert v1 == pytest.approx(v2, rel=1e-8)
+    # the y integral is exact, 2 cos(x) sin(0.3) / 0.3; the x integral of
+    # that times exp(-0.2 x^2) over [-2, 2] is from mpmath.quad at 30 digits
+    reference = 3.426989708745986
+    assert integrate_2d(f, domain, TIGHT).value == pytest.approx(reference, rel=1e-8)
 
 
 def test_invalid_domain_rejected():
@@ -160,7 +160,7 @@ def test_convergence_error_carries_results():
     bad = IntegralResult(value=1.0, error_estimate=0.5, evals=10, converged=False, method="tensor_gauss")
     err = ConvergenceError("did not converge", [bad])
     assert list(err.results) == [bad]
-    assert "tensor_gauss" in str(err) or "1.0" in str(err) or "did not converge" in str(err)
+    assert str(err) == "did not converge [value=1.0 err=5.000e-01 evals=10 method=tensor_gauss]"
 
 
 def test_determinism_same_spec_same_bits():

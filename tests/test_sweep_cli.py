@@ -329,6 +329,15 @@ def test_cli_config_file_and_nonconvergence(tmp_path, capsys):
     assert "not converged" in capsys.readouterr().err
 
 
+def test_cli_rejects_retired_quadrature_method(tmp_path, capsys):
+    path = tmp_path / "old.cfg"
+    path.write_text("crystal_length_um = 1.0\nquadrature.method = adaptive_subdivision\n")
+    assert main(["ratio", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "quadrature.method" in err
+    assert "Traceback" not in err
+
+
 def test_cli_missing_config_file(capsys):
     assert main(["ratio", "--config", "/nonexistent/qionize.cfg"]) == 1
 
@@ -370,6 +379,18 @@ def test_console_script_smoke():
     command, env = _console_script_command()
     proc = subprocess.run(
         [*command, "presets"], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0
+    assert "fig2a" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qionize.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qionize", "presets"],
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert "fig2a" in proc.stdout

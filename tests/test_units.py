@@ -11,7 +11,6 @@ from qionize.units import (
     ConfigError,
     DomainError,
     ExperimentConfig,
-    QuadratureMethod,
     QuadratureSpec,
     Reduction,
     Regime,
@@ -59,7 +58,6 @@ def test_config_defaults():
     assert cfg.channel_energy_ev == 3.753293
     assert cfg.regime is Regime.EXACT
     assert cfg.reduction is Reduction.REDUCED_2D
-    assert cfg.quadrature.method is QuadratureMethod.TENSOR_GAUSS
     assert cfg.k0 == pytest.approx(19.020678267107723, rel=1e-14)
 
 
@@ -109,8 +107,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=math.inf)
     with pytest.raises(ConfigError, match="max_evals"):
         QuadratureSpec(max_evals=math.inf)
-    with pytest.raises(ConfigError, match="seed"):
-        QuadratureSpec(seed=math.inf)
 
 
 def test_enum_string_values():
@@ -118,8 +114,6 @@ def test_enum_string_values():
     assert Regime("paraxial") is Regime.PARAXIAL
     assert Reduction("reduced2d") is Reduction.REDUCED_2D
     assert Reduction("full6d") is Reduction.FULL_6D
-    assert QuadratureMethod("tensor_gauss") is QuadratureMethod.TENSOR_GAUSS
-    assert QuadratureMethod("adaptive_subdivision") is QuadratureMethod.ADAPTIVE_SUBDIVISION
 
 
 CONFIG_TEXT = """
@@ -127,7 +121,6 @@ CONFIG_TEXT = """
 pump_waist_um = 12.5
 crystal_length_um = 3.0   # trailing comment
 regime = paraxial
-quadrature.method = adaptive_subdivision
 quadrature.rel_tol = 1e-5
 quadrature.max_evals = 500000
 """
@@ -138,7 +131,6 @@ def test_load_config_from_file_object():
     assert cfg.pump_waist_um == 12.5
     assert cfg.crystal_length_um == 3.0
     assert cfg.regime is Regime.PARAXIAL
-    assert cfg.quadrature.method is QuadratureMethod.ADAPTIVE_SUBDIVISION
     assert cfg.quadrature.rel_tol == 1e-5
     assert cfg.quadrature.max_evals == 500000
 
@@ -182,8 +174,60 @@ def test_dump_config_round_trips():
         crystal_length_um=0.25,
         regime=Regime.PARAXIAL,
         reduction=Reduction.FULL_6D,
-        quadrature=QuadratureSpec(rel_tol=1e-7, max_evals=123456, seed=5),
+        quadrature=QuadratureSpec(rel_tol=1e-7, max_evals=123456),
     )
     text = dump_config(cfg)
     again = load_config(io.StringIO(text))
     assert again == cfg
+
+
+# what dump_config wrote before quadrature.method and quadrature.seed were
+# retired, for ExperimentConfig() and for the config of the round-trip test
+OLD_DEFAULT_DUMP = """pump_waist_um = 50.0
+crystal_length_um = 1.0
+filter_omega_um = 400000000.0
+filter_omega_y_um = 10000000.0
+channel_energy_ev = 3.753293
+regime = exact
+reduction = reduced2d
+quadrature.method = tensor_gauss
+quadrature.rel_tol = 1e-06
+quadrature.abs_tol = 1e-12
+quadrature.max_evals = 10000000
+quadrature.seed = 0
+"""
+OLD_ROUND_TRIP_DUMP = """pump_waist_um = 7.0
+pump_waist_y_um = 9.0
+crystal_length_um = 0.25
+filter_omega_um = 400000000.0
+filter_omega_y_um = 10000000.0
+channel_energy_ev = 3.753293
+regime = paraxial
+reduction = full6d
+quadrature.method = tensor_gauss
+quadrature.rel_tol = 1e-07
+quadrature.abs_tol = 1e-12
+quadrature.max_evals = 123456
+quadrature.seed = 5
+"""
+
+
+def test_old_dumps_with_retired_keys_still_load():
+    assert load_config(io.StringIO(OLD_DEFAULT_DUMP)) == ExperimentConfig()
+    assert load_config(io.StringIO(OLD_ROUND_TRIP_DUMP)) == ExperimentConfig(
+        pump_waist_um=7.0,
+        pump_waist_y_um=9.0,
+        crystal_length_um=0.25,
+        regime=Regime.PARAXIAL,
+        reduction=Reduction.FULL_6D,
+        quadrature=QuadratureSpec(rel_tol=1e-7, max_evals=123456),
+    )
+    assert "quadrature.method" not in dump_config(ExperimentConfig())
+    assert "quadrature.seed" not in dump_config(ExperimentConfig())
+
+
+def test_retired_keys_reject_bad_values():
+    with pytest.raises(ConfigError, match="quadrature.method.*tensor_gauss"):
+        load_config(io.StringIO(CONFIG_TEXT + "quadrature.method = adaptive_subdivision\n"))
+    with pytest.raises(ConfigError, match="quadrature.seed must be an integer"):
+        load_config(io.StringIO("quadrature.seed = x\n"))
