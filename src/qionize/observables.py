@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .amplitude import AmplitudeKind, _reduced_amplitude, check_narrowband_guard
-from .quadrature import ConvergenceError, IntegralResult, integrate_2d
+from .quadrature import ConvergenceError, EvenDomain, IntegralResult, integrate_2d
 from .units import C_UM_PER_S, DEFAULT_CHANNEL_ENERGY_EV, DomainError, ExperimentConfig, Regime
 
 __all__ = [
@@ -271,12 +271,32 @@ def _umax(cfg: ExperimentConfig) -> float:
     return min(10.0 / cfg.pump_waist_um, 2.0 * cfg.k0 * (1.0 - 1e-12))
 
 
+def _even_kernel(kernel: TabulatedKernel, k0: float) -> Callable:
+    """K averaged over the reduced integrand's two reflections, at (kix, ksx).
+
+    Photon exchange (s -> -s) maps K(kix, ksx) to K(ksx, kix), the table's
+    transpose; (kix, ksx) -> (-ksx, -kix) (t -> -t) maps it to the transpose
+    of v[::-1, ::-1]. The reduced amplitude is invariant under both, so the
+    average leaves the integral of F K over the square unchanged and makes
+    the integrand even in s and in t. On a square table the average is one
+    table: bilinear interpolation on the uniform grid through +-1 commutes
+    with transposing and reversing it.
+    """
+    v = kernel.values + kernel.values[::-1, ::-1]
+    if v.shape[0] == v.shape[1]:
+        table = TabulatedKernel(kernel.name, 0.25 * (v + v.T))
+        return lambda kix, ksx: table.evaluate(kix, ksx, k0)
+    # a non-square table's transpose lies on another grid: exchange on the fly
+    table = TabulatedKernel(kernel.name, 0.5 * v)
+    return lambda kix, ksx: 0.5 * (table.evaluate(kix, ksx, k0) + table.evaluate(ksx, kix, k0))
+
+
 def _reduced_integrand(
     cfg: ExperimentConfig,
     kind: AmplitudeKind,
     power: int,
     obliquity: bool,
-    kernel: Optional[TabulatedKernel],
+    even_kernel: Optional[Callable],
     amplitude_scale: float,
 ) -> Callable:
     """Integrand over angle coordinates (s, t) covering the open rhombus.
@@ -289,6 +309,11 @@ def _reduced_integrand(
     Both cos Jacobians vanish exactly where the edge square roots of the
     exact dispersion become singular, keeping the integrand bounded.
     d kix d ksx = (1/2) du dv.
+
+    s -> -s exchanges the photons (kix <-> ksx) and t -> -t maps (kix, ksx)
+    to (-ksx, -kix). The amplitude, its square and the obliquity are
+    invariant under both, so the integrand is even in s and in t as long as
+    even_kernel is (see _even_kernel); _ANGLE_DOMAIN relies on that.
     """
     k0 = cfg.k0
     paraxial = cfg.regime is Regime.PARAXIAL
@@ -312,15 +337,16 @@ def _reduced_integrand(
                 kiz = np.sqrt(np.maximum(k0**2 - kix**2, 0.0))
                 ksz = np.sqrt(np.maximum(k0**2 - ksx**2, 0.0))
                 value = value * ((kiz + ksz) / k0)
-        if kernel is not None:
-            value = value * kernel.evaluate(kix, ksx, k0)
+        if even_kernel is not None:
+            value = value * even_kernel(kix, ksx)
         return value * (0.5 * jac_v * jac_u)
 
     return f
 
 
 _HALF_PI = 0.5 * math.pi
-_ANGLE_DOMAIN = ((-_HALF_PI, _HALF_PI), (-_HALF_PI, _HALF_PI))
+# even in s and t: the rule evaluates the quadrant s, t >= 0 only
+_ANGLE_DOMAIN = EvenDomain(((-_HALF_PI, _HALF_PI), (-_HALF_PI, _HALF_PI)))
 
 
 def _initial_panels(cfg: ExperimentConfig) -> Tuple[int, int]:
@@ -344,11 +370,11 @@ def _integrate_reduced(
     kind: AmplitudeKind,
     power: int,
     obliquity: bool = False,
-    kernel: Optional[TabulatedKernel] = None,
+    even_kernel: Optional[Callable] = None,
     amplitude_scale: float = 1.0,
 ) -> IntegralResult:
     check_narrowband_guard(cfg)
-    f = _reduced_integrand(cfg, kind, power, obliquity, kernel, amplitude_scale)
+    f = _reduced_integrand(cfg, kind, power, obliquity, even_kernel, amplitude_scale)
     return integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, _initial_panels(cfg))
 
 
@@ -461,11 +487,12 @@ def enhancement_ratio(
         raise DomainError(f"amplitude_scale must be > 0, got {amplitude_scale!r}")
     cfg_eff = cfg.replace(channel_energy_ev=channel.transition_energy_ev)
     kernel = channel.kernel
+    even_kernel = _even_kernel(kernel, cfg_eff.k0) if kernel is not None else None
 
     integrals: Dict[str, IntegralResult] = {}
     for kind in (AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE):
         coherent = _integrate_reduced(
-            cfg_eff, kind, power=1, kernel=kernel, amplitude_scale=amplitude_scale
+            cfg_eff, kind, power=1, even_kernel=even_kernel, amplitude_scale=amplitude_scale
         )
         norm2 = _integrate_reduced(cfg_eff, kind, power=2, amplitude_scale=amplitude_scale)
         weighted = _integrate_reduced(

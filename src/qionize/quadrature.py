@@ -5,7 +5,12 @@ doubling the panel count of whichever axis contributes the larger
 last-doubling delta. The caller hints a starting resolution per axis.
 
 The rule is open (no endpoint evaluations), fully deterministic, and
-accounts every integrand evaluation toward max_evals. A tensor grid is never
+accounts every integrand evaluation toward max_evals. A caller that passes
+an EvenDomain promises the integrand is even about the centre of each axis;
+the rule then evaluates only the upper half of each axis's nodes, one
+quadrant of the grid at twice the weight, with the panels, refinement and
+error estimate of the plain rectangle. evals and max_evals count the nodes
+actually evaluated. A tensor grid is never
 built whole: the integrand is called on row blocks of it, about BLOCK_NODES
 nodes each, and each block is reduced before the next is evaluated.
 Integrands must therefore be pointwise (a node's value depends on its own
@@ -23,6 +28,7 @@ import numpy as np
 from .units import DomainError, QuadratureSpec
 
 __all__ = [
+    "EvenDomain",
     "IntegralResult",
     "ConvergenceError",
     "integrate_2d",
@@ -34,6 +40,18 @@ _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 # (128 KiB each) stay in a per-core L2 cache; the fastest of 2^13..2^17 on
 # the L = 100 um ratio grids
 BLOCK_NODES = 2**14
+
+
+class EvenDomain(tuple):
+    """A rectangle ((x0, x1), (y0, y1)) whose integrand is even on both axes.
+
+    Passing one promises f(x0 + x1 - x, y) = f(x, y) = f(x, y0 + y1 - y).
+    The panel rule's nodes come in mirror pairs about each centre, so
+    integrate_2d evaluates only the upper half of each axis's nodes at
+    twice the weight: a quarter of the evaluations for the same rule.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -90,9 +108,15 @@ def _panel_rule(a: float, b: float, n_panels: int, nodes, weights):
     return x, w
 
 
-def _tensor_eval(f, x0, x1, y0, y1, nx, ny, nodes, weights):
+def _tensor_eval(f, x0, x1, y0, y1, nx, ny, nodes, weights, even=False):
     x, wx = _panel_rule(x0, x1, nx, nodes, weights)
     y, wy = _panel_rule(y0, y1, ny, nodes, weights)
+    if even:
+        # each axis holds 16 n nodes, ascending and mirror-paired about its
+        # centre (a middle panel of an odd count splits 8/8): keep the upper
+        # half, the lower half's partners carrying its weight
+        x, wx = x[x.size // 2 :], 2.0 * wx[wx.size // 2 :]
+        y, wy = y[y.size // 2 :], 2.0 * wy[wy.size // 2 :]
     # row blocks of about BLOCK_NODES nodes keep the integrand's temporaries
     # in cache; the einsum reduction stays single-threaded (no BLAS) and the
     # partial sums add in fixed block order, so the value depends on nothing
@@ -111,14 +135,19 @@ def _tensor_eval(f, x0, x1, y0, y1, nx, ny, nodes, weights):
     return total, x.size * y.size
 
 
-def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels):
+def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels, even):
     nx, ny = initial_panels
     nx = max(2, int(nx))
     ny = max(2, int(ny))
     evals = 0
     max_evals = int(spec.max_evals)
+    # evaluated nodes per pair of x and y panels: 16 x 16, or one quadrant
+    panel_evals = 64 if even else 256
 
-    value, n = _tensor_eval(f, x0, x1, y0, y1, nx, ny, _GL16_X, _GL16_W)
+    def grid(nx, ny):
+        return _tensor_eval(f, x0, x1, y0, y1, nx, ny, _GL16_X, _GL16_W, even)
+
+    value, n = grid(nx, ny)
     evals += n
     # an axis whose doubling delta falls far below tolerance is frozen: its
     # last delta keeps counting toward the error but costs no more doublings
@@ -128,11 +157,11 @@ def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels):
     frozen_y = False
     while True:
         if not frozen_x:
-            value_x2, n = _tensor_eval(f, x0, x1, y0, y1, 2 * nx, ny, _GL16_X, _GL16_W)
+            value_x2, n = grid(2 * nx, ny)
             evals += n
             err_x = abs(value_x2 - value)
         if not frozen_y:
-            value_y2, n = _tensor_eval(f, x0, x1, y0, y1, nx, 2 * ny, _GL16_X, _GL16_W)
+            value_y2, n = grid(nx, 2 * ny)
             evals += n
             err_y = abs(value_y2 - value)
 
@@ -154,7 +183,7 @@ def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels):
         frozen_y = frozen_y or err_y <= 0.05 * tol
         # next round costs up to ~4x the current grid; stop if the budget
         # cannot pay rather than silently returning an unconverged value
-        if evals + 4 * 256 * nx * ny >= max_evals:
+        if evals + 4 * panel_evals * nx * ny >= max_evals:
             return IntegralResult(best, err, evals, False, "tensor_gauss")
         if not frozen_x and (frozen_y or err_x >= err_y):
             nx *= 2
@@ -182,7 +211,12 @@ def integrate_2d(
     node. initial_panels is a performance hint (starting resolution per
     axis); it never changes what converged means, only how fast the rule
     gets there. Identical inputs produce bit-identical results.
+
+    An EvenDomain promises f(x0 + x1 - x, y) = f(x, y) = f(x, y0 + y1 - y);
+    f is then called only on nodes at or above both centres, and evals and
+    max_evals count those evaluated nodes, a quarter of the plain
+    rectangle's. An integrand that breaks the promise gets a wrong value.
     """
     spec = spec if spec is not None else QuadratureSpec()
     x0, x1, y0, y1 = _check_domain(domain)
-    return _tensor_gauss(f, x0, x1, y0, y1, spec, initial_panels)
+    return _tensor_gauss(f, x0, x1, y0, y1, spec, initial_panels, isinstance(domain, EvenDomain))

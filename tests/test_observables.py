@@ -261,6 +261,98 @@ def test_strict_raises_on_budget_exhaustion():
     assert np.isfinite(res.R)
 
 
+def test_ratio_eval_schedule_pin():
+    # each integral's evals at the pinned (50, 3) um config: the folded rule
+    # evaluates a quarter of the (748800, 1347840, ...) nodes of the whole
+    # square on the same panels; a change of panels or fold shows up here
+    res = enhancement_ratio(ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0))
+    names = ("I1_ent", "I2_ent", "I2w_ent", "I1_sep", "I2_sep", "I2w_sep")
+    evals = tuple(res.diagnostics[name].evals for name in names)
+    assert evals == (187200, 336960, 336960, 187200, 336960, 336960)
+
+
+# ---------------------------------------------------------------- folded quadrant
+
+FOLD_LENGTHS_UM = (0.01, 1.0, 100.0)
+FOLD_WAISTS_UM = (1.0, 3.0, 10.0, 50.0, 100.0)
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+def test_separable_integrals_match_closed_form(regime):
+    # the separable amplitude depends on u alone, and the rhombus chord at u
+    # is 2 (2 k0 - |u|) long, so I1_sep and I2_sep are 1D Gaussian moments
+    sep = AmplitudeKind.SEPARABLE
+    for length in FOLD_LENGTHS_UM:
+        for waist in FOLD_WAISTS_UM:
+            cfg = ExperimentConfig(crystal_length_um=length, pump_waist_um=waist, regime=regime)
+            k0, w, umax = cfg.k0, waist, observables._umax(cfg)
+            i1 = 2.0 * k0 * math.sqrt(2.0 * math.pi) / w * math.erf(w * umax / math.sqrt(2.0)) - (
+                2.0 / w**2
+            ) * (1.0 - math.exp(-0.5 * (w * umax) ** 2))
+            i2 = 2.0 * k0 * math.sqrt(math.pi) / w * math.erf(w * umax) - (1.0 / w**2) * (
+                1.0 - math.exp(-((w * umax) ** 2))
+            )
+            label = (regime.value, length, waist)
+            for power, truth in ((1, i1), (2, i2)):
+                res = observables._integrate_reduced(cfg, sep, power)
+                assert res.converged, label
+                assert abs(res.value - truth) <= res.error_estimate + 1e-14 * truth, label
+            if regime is Regime.PARAXIAL:
+                i2_res = observables._integrate_reduced(cfg, sep, 2)
+                i2w_res = observables._integrate_reduced(cfg, sep, 2, obliquity=True)
+                assert i2w_res.value == 2.0 * i2_res.value, label
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+@pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
+def test_reduced_integrand_is_even_in_s_and_t(kind, regime):
+    # the premise of the folded quadrant: s -> -s exchanges the photons and
+    # t -> -t maps (kix, ksx) to (-ksx, -kix); neither changes the integrand
+    rng = np.random.default_rng(7)
+    s = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(40, 1))
+    t = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(1, 30))
+    cfg = ExperimentConfig(crystal_length_um=20.0, pump_waist_um=1.0, regime=regime)
+    for power in (1, 2):
+        for obliquity in (False, True):
+            f = observables._reduced_integrand(cfg, kind, power, obliquity, None, 1.0)
+            base = f(s, t)
+            assert np.ptp(base) > 0.0
+            for mirrored in (f(-s, t), f(s, -t)):
+                np.testing.assert_allclose(mirrored, base, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (7, 4)])
+def test_even_kernel_keeps_the_coherent_integral(shape):
+    # an asymmetric kernel, averaged over both reflections and integrated on
+    # the folded quadrant, gives the raw kernel's integral over the square;
+    # a loose tolerance keeps the kinked bilinear kernel cheap to converge
+    rng = np.random.default_rng(20261018)
+    raw = TabulatedKernel("random", rng.normal(size=shape))
+    cfg = ExperimentConfig(
+        crystal_length_um=1.0, pump_waist_um=1.0, quadrature=QuadratureSpec(rel_tol=1e-4)
+    )
+    k0 = cfg.k0
+    square = tuple(observables._ANGLE_DOMAIN)
+    assert not isinstance(square, quadrature.EvenDomain)
+    for kind in (AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE):
+        f_raw = observables._reduced_integrand(
+            cfg, kind, 1, False, lambda kix, ksx: raw.evaluate(kix, ksx, k0), 1.0
+        )
+        whole = integrate_2d(f_raw, square, cfg.quadrature, observables._initial_panels(cfg))
+        folded = observables._integrate_reduced(
+            cfg, kind, 1, even_kernel=observables._even_kernel(raw, k0)
+        )
+        assert folded.converged and whole.converged
+        assert folded.value == pytest.approx(whole.value, rel=1e-12)
+        assert 4 * folded.evals == whole.evals
+        # averaging over photon exchange alone is not enough
+        def exchange_only(kix, ksx):
+            return 0.5 * (raw.evaluate(kix, ksx, k0) + raw.evaluate(ksx, kix, k0))
+
+        wrong = observables._integrate_reduced(cfg, kind, 1, even_kernel=exchange_only)
+        assert abs(wrong.value / whole.value - 1.0) > 1e-6
+
+
 # ---------------------------------------------------------------- cross sections
 
 
