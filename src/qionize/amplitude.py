@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -83,23 +83,26 @@ def _maybe_scalar(value, *inputs):
     return value
 
 
-def sinc(x: ArrayLike) -> ArrayLike:
+def sinc(x: ArrayLike, out: Optional[np.ndarray] = None) -> ArrayLike:
     """Unnormalized sinc, sin(x)/x with sinc(0) = 1.
 
     |x| < 1e-4 uses the Taylor series 1 - x^2/6 + x^4/120, exact to double
-    precision in that range; elsewhere the direct quotient.
+    precision in that range; elsewhere the direct quotient. out, a float
+    array of x's shape other than x itself, receives the values and is
+    returned.
     """
     arr = np.asarray(x, dtype=float)
     # an explicit out keeps even a 0-d result an array, writable in place
-    value = np.sin(arr, out=np.empty(arr.shape))
-    small = np.abs(arr) < 1e-4
+    value = np.empty(arr.shape) if out is None else out
+    small = np.abs(arr, out=value) < 1e-4
+    np.sin(arr, out=value)
     # only x == 0 divides 0 by 0; its nan is overwritten by the series below
     with np.errstate(invalid="ignore"):
         np.divide(value, arr, out=value)
     if small.any():
         tiny = arr[small]
         value[small] = 1.0 - tiny**2 / 6.0 + tiny**4 / 120.0
-    return _maybe_scalar(value, x)
+    return value if out is not None else _maybe_scalar(value, x)
 
 
 def delta_kz_exact(kix: ArrayLike, ksx: ArrayLike, k0: float) -> ArrayLike:
@@ -135,12 +138,26 @@ def delta_kz_paraxial(kix: ArrayLike, ksx: ArrayLike, k0: float) -> ArrayLike:
         raise DomainError(f"k0 must be > 0, got {k0!r}")
     kix_arr = np.asarray(kix, dtype=float)
     ksx_arr = np.asarray(ksx, dtype=float)
-    value = (
-        kix_arr**2 / (2.0 * k0)
-        + ksx_arr**2 / (2.0 * k0)
-        - (kix_arr + ksx_arr) ** 2 / (4.0 * k0)
-    )
+    shape = np.broadcast_shapes(kix_arr.shape, ksx_arr.shape)
+    value = _paraxial_mismatch(kix_arr, ksx_arr, k0, np.empty(shape), np.empty(shape))
     return _maybe_scalar(value, kix, ksx)
+
+
+def _paraxial_mismatch(kix, ksx, k0: float, out, tmp):
+    # kix^2/(2 k0) + ksx^2/(2 k0) - (kix + ksx)^2/(4 k0), written into out
+    np.divide(np.square(kix, out=out), 2.0 * k0, out=out)
+    np.add(out, np.divide(np.square(ksx, out=tmp), 2.0 * k0, out=tmp), out=out)
+    np.square(np.add(kix, ksx, out=tmp), out=tmp)
+    return np.subtract(out, np.divide(tmp, 4.0 * k0, out=tmp), out=out)
+
+
+def _kz_sum(kix, ksx, k0: float, out, tmp):
+    """kiz + ksz with the roots clamped at the kinematic edge, into out."""
+    k0_sq = k0**2
+    for kx, kz in ((kix, out), (ksx, tmp)):
+        np.subtract(k0_sq, np.square(kx, out=kz), out=kz)
+        np.sqrt(np.maximum(kz, 0.0, out=kz), out=kz)
+    return np.add(out, tmp, out=out)
 
 
 def pump_envelope(
@@ -281,22 +298,36 @@ def eval_reduced(point, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike
 
 
 def _reduced_amplitude(
-    u, kix, ksx, cfg: ExperimentConfig, kind: AmplitudeKind, scale: float = 1.0
+    u, kix, ksx, cfg: ExperimentConfig, kind: AmplitudeKind, scale: float = 1.0, work=None
 ):
     """Unchecked reduced amplitude times scale at pump sum u = kix + ksx.
 
     Callers that parametrize the plane by u pass it directly rather than
     the rounded sum of kix and ksx. The exact mismatch clamps its roots at
     the kinematic edge, where the amplitude's sinc argument stays finite.
+
+    work, if given, is four float arrays of the broadcast shape of u, kix
+    and ksx, none of them an input: the value is written into work[0] and
+    returned, the rest is scratch, and an exact entangled call leaves
+    kiz + ksz in work[1]. Without it the call allocates its own.
     """
-    value = scale * np.exp(-0.5 * (cfg.pump_waist_um * u) ** 2)
+    if work is None:
+        shape = np.broadcast_shapes(np.shape(u), np.shape(kix), np.shape(ksx))
+        work = [np.empty(shape) for _ in range(4)]
+    value, a, b, c = work
+    # scale * exp(-0.5 * (omega_p u)^2), one in-place step at a time
+    np.square(np.multiply(u, cfg.pump_waist_um, out=value), out=value)
+    np.exp(np.multiply(value, -0.5, out=value), out=value)
+    np.multiply(value, scale, out=value)
     if kind is AmplitudeKind.ENTANGLED:
         k0 = cfg.k0
         if cfg.regime is Regime.PARAXIAL:
-            mismatch = delta_kz_paraxial(kix, ksx, k0)
+            mismatch = _paraxial_mismatch(kix, ksx, k0, b, c)
         else:
-            kiz = np.sqrt(np.maximum(k0**2 - kix**2, 0.0))
-            ksz = np.sqrt(np.maximum(k0**2 - ksx**2, 0.0))
-            mismatch = np.sqrt(np.maximum(4.0 * k0**2 - u**2, 0.0)) - (kiz + ksz)
-        value = value * sinc(0.5 * cfg.crystal_length_um * mismatch)
+            kz_sum = _kz_sum(kix, ksx, k0, a, b)
+            mismatch = np.subtract(4.0 * k0**2, np.square(u, out=b), out=b)
+            np.sqrt(np.maximum(mismatch, 0.0, out=b), out=b)
+            np.subtract(b, kz_sum, out=b)
+        np.multiply(mismatch, 0.5 * cfg.crystal_length_um, out=mismatch)
+        np.multiply(value, sinc(mismatch, out=c), out=value)
     return value

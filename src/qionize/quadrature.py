@@ -181,10 +181,6 @@ def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels, even)
             return IntegralResult(best, err, evals, evals <= max_evals, "tensor_gauss")
         frozen_x = frozen_x or err_x <= 0.05 * tol
         frozen_y = frozen_y or err_y <= 0.05 * tol
-        # next round costs up to ~4x the current grid; stop if the budget
-        # cannot pay rather than silently returning an unconverged value
-        if evals + 4 * panel_evals * nx * ny >= max_evals:
-            return IntegralResult(best, err, evals, False, "tensor_gauss")
         if not frozen_x and (frozen_y or err_x >= err_y):
             nx *= 2
             value = value_x2
@@ -193,6 +189,11 @@ def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels, even)
             value = value_y2
         else:
             # both frozen yet err > tol: deltas stalled above tolerance
+            return IntegralResult(best, err, evals, False, "tensor_gauss")
+        # the next round doubles each unfrozen axis of the new grid once;
+        # stop if the budget cannot pay rather than overdraw it
+        unfrozen = (not frozen_x) + (not frozen_y)
+        if evals + unfrozen * 2 * panel_evals * nx * ny > max_evals:
             return IntegralResult(best, err, evals, False, "tensor_gauss")
 
 
@@ -208,7 +209,9 @@ def integrate_2d(
     node grid, with a column x_blk[:, None] of consecutive x nodes and the
     row y[None, :] of all y nodes, and must return the
     (len(x_blk), len(y)) array of values, each depending only on its own
-    node. initial_panels is a performance hint (starting resolution per
+    node. f may reuse internal buffers from call to call, but each call
+    must return a fresh array, since a caller may keep an earlier call's
+    result. initial_panels is a performance hint (starting resolution per
     axis); it never changes what converged means, only how fast the rule
     gets there. Identical inputs produce bit-identical results.
 

@@ -121,7 +121,14 @@ class SweepRecord:
 
 def _worker_count(requested: Optional[int]) -> int:
     cap = os.environ.get("QIONIZE_THREADS")
-    count = requested if requested is not None else (os.cpu_count() or 1)
+    count = requested
+    if count is None:
+        # the CPUs this process may run on: an affinity mask can leave far
+        # fewer than os.cpu_count() reports for the host
+        if hasattr(os, "sched_getaffinity"):
+            count = len(os.sched_getaffinity(0))
+        else:
+            count = os.cpu_count() or 1
     if cap is not None:
         try:
             count = min(count, max(1, int(cap)))

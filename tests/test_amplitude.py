@@ -81,6 +81,10 @@ def test_sinc_bit_identical_to_where_formula():
     # 2-D input keeps its shape
     grid = x[: 400 * 250].reshape(400, 250)
     assert _same_bits(sinc(grid), _sinc_where_formula(grid))
+    # out= fills and returns the given array, with the same bits
+    buf = np.full(grid.shape, np.nan)
+    assert sinc(grid, out=buf) is buf
+    assert _same_bits(buf, _sinc_where_formula(grid))
     # both signed zeros give exactly +1.0
     assert _same_bits(sinc(np.array([0.0, -0.0])), [1.0, 1.0])
     for v in special.tolist() + [3.7, -1234.5]:

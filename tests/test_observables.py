@@ -1,6 +1,7 @@
 """Normalization, flux, collection factors, enhancement ratio, kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,55 @@ def test_reduced_integrand_is_even_in_s_and_t(kind, regime):
             assert np.ptp(base) > 0.0
             for mirrored in (f(-s, t), f(s, -t)):
                 np.testing.assert_allclose(mirrored, base, rtol=1e-13, atol=0.0)
+
+
+_BLOCK = (682, 24)  # one full row block of an L = 100 um grid, 16368 nodes
+
+
+def _block_nodes(rng):
+    s = np.sort(rng.uniform(0.0, 0.5 * math.pi, size=(_BLOCK[0], 1)), axis=0)
+    t = np.sort(rng.uniform(0.0, 0.5 * math.pi, size=(1, _BLOCK[1])), axis=1)
+    return s, t
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+@pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
+def test_reduced_integrand_block_call_allocates_little(kind, regime):
+    # the integrand works in buffers it keeps between calls: a warm call
+    # allocates its result and small per-row and per-column arrays only
+    s, t = _block_nodes(np.random.default_rng(5))
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
+    for power, obliquity in ((1, False), (2, False), (2, True)):
+        f = observables._reduced_integrand(cfg, kind, power, obliquity, None, 1.0)
+        f(s, t)
+        tracemalloc.start()
+        try:
+            values = f(s, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == _BLOCK
+        assert peak <= 2 * block_bytes, (power, obliquity, peak / block_bytes)
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+@pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
+def test_reduced_integrand_results_do_not_alias(kind, regime):
+    # integrate_2d may keep a block's values: a later call on a block of the
+    # same shape must leave them as they were
+    rng = np.random.default_rng(6)
+    first_nodes, second_nodes = _block_nodes(rng), _block_nodes(rng)
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    for power, obliquity in ((1, False), (2, False), (2, True)):
+        f = observables._reduced_integrand(cfg, kind, power, obliquity, None, 1.0)
+        first = f(*first_nodes)
+        kept = first.copy()
+        second = f(*second_nodes)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(f(*first_nodes), kept)
+        assert not np.array_equal(second, kept)
 
 
 @pytest.mark.parametrize("shape", [(7, 7), (7, 4)])

@@ -125,6 +125,20 @@ def test_budget_exhaustion_reports_not_converged():
     assert res.converged is False
 
 
+@pytest.mark.parametrize("max_evals", [50_000, 100_000, 200_000])
+def test_budget_never_overdrawn_by_refinement(max_evals):
+    # both axes stay unfrozen, so every round doubles the grid twice over;
+    # the budget check must price that, not stop after the overdraw
+    spec = QuadratureSpec(rel_tol=1e-12, max_evals=max_evals)
+    res = integrate_2d(
+        lambda x, y: np.cos(200.0 * x) * np.cos(150.0 * y) + 1.0,
+        ((0.0, 3.0), (0.0, 3.0)),
+        spec,
+    )
+    assert not res.converged
+    assert res.evals <= max_evals
+
+
 def test_adaptive_subdivision_handles_peaked_integrand():
     # narrow bump off-center: refinement must resolve it
     def f(x, y):
@@ -261,7 +275,11 @@ def test_even_domain_budget_counts_evaluated_nodes():
     # the whole rectangle cannot pay for the quadrant's budget; the quadrant's
     # next-round budget check must count the quadrant's nodes to get there
     assert not run(box, folded_evals).converged
-    for max_evals in (folded_evals - 1, folded_evals, plain.evals):
+    for max_evals in (folded_evals, plain.evals):
         res = run(quadrature.EvenDomain(box), max_evals)
         assert res.evals == folded_evals
-        assert res.converged is (res.evals <= max_evals), max_evals
+        assert res.converged, max_evals
+    # one node short, the last round is priced exactly and never started
+    res = run(quadrature.EvenDomain(box), folded_evals - 1)
+    assert res.evals <= folded_evals - 1
+    assert not res.converged
