@@ -121,10 +121,8 @@ def delta_kz_exact(kix: ArrayLike, ksx: ArrayLike, k0: float) -> ArrayLike:
     pump = kix_arr + ksx_arr
     if np.any(np.abs(pump) >= 2.0 * k0):
         raise DomainError("delta_kz_exact requires |kix + ksx| < 2 k0")
-    # group the per-photon roots so exchange symmetry holds bit for bit
-    value = np.sqrt(4.0 * k0**2 - pump**2) - (
-        np.sqrt(k0**2 - kix_arr**2) + np.sqrt(k0**2 - ksx_arr**2)
-    )
+    shape = np.broadcast_shapes(kix_arr.shape, ksx_arr.shape)
+    value = _exact_mismatch(pump, kix_arr, ksx_arr, k0, np.empty(shape), np.empty(shape))
     return _maybe_scalar(value, kix, ksx)
 
 
@@ -158,6 +156,18 @@ def _kz_sum(kix, ksx, k0: float, out, tmp):
         np.subtract(k0_sq, np.square(kx, out=kz), out=kz)
         np.sqrt(np.maximum(kz, 0.0, out=kz), out=kz)
     return np.add(out, tmp, out=out)
+
+
+def _exact_mismatch(u, kix, ksx, k0: float, out, tmp):
+    """sqrt(4 k0^2 - u^2) - (kiz + ksz) at pump sum u, roots clamped, into out.
+
+    tmp is left holding kiz + ksz. Grouping the per-photon roots keeps
+    exchange symmetry bit for bit.
+    """
+    kz_sum = _kz_sum(kix, ksx, k0, tmp, out)
+    np.subtract(4.0 * k0**2, np.square(u, out=out), out=out)
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    return np.subtract(out, kz_sum, out=out)
 
 
 def pump_envelope(
@@ -207,8 +217,8 @@ def _delta_kz_6d(kix, kiy, kiz, ksx, ksy, ksz, mag_i, mag_s, regime: Regime):
     return np.sqrt(np.maximum(arg, 0.0)) - kiz - ksz
 
 
-def _separable_6d(ki, ks, cfg: ExperimentConfig, scale: float = 1.0):
-    """Separable 6D amplitude times scale, with |ki| and |ks|; no kz check.
+def _separable_6d(ki, ks, cfg: ExperimentConfig):
+    """Separable 6D amplitude with |ki| and |ks|; no kz check.
 
     ki and ks are (kx, ky, kz) triplets of float arrays. The entangled
     amplitude is this value times _entangling_6d at the same magnitudes.
@@ -218,7 +228,7 @@ def _separable_6d(ki, ks, cfg: ExperimentConfig, scale: float = 1.0):
     k0 = cfg.k0
     mag_i = np.sqrt(kix**2 + kiy**2 + kiz**2)
     mag_s = np.sqrt(ksx**2 + ksy**2 + ksz**2)
-    value = scale * pump_envelope(kix + ksx, kiy + ksy, cfg.pump_waist_um, cfg.pump_waist_y)
+    value = pump_envelope(kix + ksx, kiy + ksy, cfg.pump_waist_um, cfg.pump_waist_y)
     value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_i - k0)) ** 2)
     value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_s - k0)) ** 2)
     value = value * np.exp(-0.5 * (cfg.filter_omega_y_um * kiy) ** 2)
@@ -324,10 +334,7 @@ def _reduced_amplitude(
         if cfg.regime is Regime.PARAXIAL:
             mismatch = _paraxial_mismatch(kix, ksx, k0, b, c)
         else:
-            kz_sum = _kz_sum(kix, ksx, k0, a, b)
-            mismatch = np.subtract(4.0 * k0**2, np.square(u, out=b), out=b)
-            np.sqrt(np.maximum(mismatch, 0.0, out=b), out=b)
-            np.subtract(b, kz_sum, out=b)
+            mismatch = _exact_mismatch(u, kix, ksx, k0, b, a)
         np.multiply(mismatch, 0.5 * cfg.crystal_length_um, out=mismatch)
         np.multiply(value, sinc(mismatch, out=c), out=value)
     return value

@@ -151,7 +151,13 @@ def _cmd_amplitude_grid(args) -> int:
     return EXIT_OK
 
 
+def _at_least_one(flag: str, value: Optional[int]) -> None:
+    if value is not None and value < 1:
+        raise _UsageError(f"{flag} must be >= 1, got {value}")
+
+
 def _cmd_sweep(args) -> int:
+    _at_least_one("--workers", args.workers)
     preset = load_preset(args.preset)
     records = run_sweep(preset.plan, preset.base, workers=args.workers)
     wrote = []
@@ -171,6 +177,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    _at_least_one("--configs", args.configs)
     configs = default_check_configs(args.configs)
     spec = McSpec(samples=args.samples, seed=args.seed)
     all_agree = True

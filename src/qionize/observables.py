@@ -247,9 +247,6 @@ class Quantity:
             return Quantity(self.value / other.value, self.factor / other.factor)
         return Quantity(self.value / float(other), self.factor)
 
-    def numeric_value(self, cfg: ExperimentConfig) -> float:
-        return self.value * self.factor.numeric(cfg)
-
 
 # The reduced observables as functions of the three integrals' values:
 # I1 = integral of F, I2 = integral of |F|^2, I2w = integral of |F|^2 w.

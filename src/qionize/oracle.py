@@ -1,7 +1,8 @@
 """Six-dimensional Monte Carlo cross-check of the reduced pipeline.
 
 Each photon is parametrized by (kx, ky, kappa = |k|) with
-kz = sqrt(kappa^2 - kx^2 - ky^2); draws whose kz argument is negative are
+kz = sqrt(kappa^2 - kx^2 - ky^2). Samples come from one Gaussian proposal
+shaped by the pump and filters; draws whose kz argument is negative are
 rejected (zero weight) and the rejection fraction is reported. Sampling uses
 the counter-based Philox generator with one child seed sequence per batch;
 batch partial sums are combined in fixed index order, so a result depends
@@ -10,7 +11,6 @@ only on (integrand, config, spec), never on scheduling.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -23,7 +23,6 @@ from .quadrature import ConvergenceError, IntegralResult
 from .units import DomainError, ExperimentConfig, Reduction, Regime
 
 __all__ = [
-    "ImportanceScheme",
     "McSpec",
     "McIntegralResult",
     "McRatioResult",
@@ -43,26 +42,21 @@ _PUMP_PROPOSAL_WIDTH = 1.2
 MIN_SAMPLES = 100_000
 # fewest effective samples for either estimator to report converged
 MIN_ESS = 100.0
-
-
-class ImportanceScheme(enum.Enum):
-    UNIFORM_BOX = "uniform_box"
-    GAUSSIAN_PROPOSAL = "gaussian_proposal"
+# smallest |R_reduced / R_full - 1| that reduced_vs_full_check tolerates;
+# 3 sigma / R_full widens it when the Monte Carlo error is larger
+REL_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
 class McSpec:
-    """Sample budget, seed, and proposal for one Monte Carlo run."""
+    """Sample budget and seed for one Monte Carlo run."""
 
     samples: int = 1_000_000
     seed: int = 0
-    importance: ImportanceScheme = ImportanceScheme.GAUSSIAN_PROPOSAL
 
     def __post_init__(self) -> None:
         if int(self.samples) < MIN_SAMPLES:
             raise DomainError(f"samples must be >= {MIN_SAMPLES}, got {self.samples!r}")
-        if not isinstance(self.importance, ImportanceScheme):
-            raise DomainError(f"importance must be an ImportanceScheme, got {self.importance!r}")
 
 
 @dataclass(frozen=True)
@@ -100,25 +94,6 @@ def _batch_sizes(total: int, target: int = 500_000) -> Tuple[int, ...]:
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def _default_box(cfg: ExperimentConfig):
-    # per-photon box covering the filters to 10 sigma and the full open
-    # kx range; adequate for geometry checks, inefficient for narrow filters
-    k0 = cfg.k0
-    half_y = 10.0 / cfg.filter_omega_y_um
-    half_k = 10.0 / cfg.filter_omega_um
-    return ((-k0, k0), (-half_y, half_y), (k0 - half_k, k0 + half_k))
-
-
-def _draw_uniform(rng, n: int, box):
-    (x0, x1), (y0, y1), (kappa0, kappa1) = box
-    volume_per_photon = (x1 - x0) * (y1 - y0) * (kappa1 - kappa0)
-    kx = rng.uniform(x0, x1, size=(2, n))
-    ky = rng.uniform(y0, y1, size=(2, n))
-    kappa = rng.uniform(kappa0, kappa1, size=(2, n))
-    weights = np.full(n, volume_per_photon**2)
-    return kx, ky, kappa, weights
 
 
 def _draw_gaussian(rng, n: int, cfg: ExperimentConfig):
@@ -181,21 +156,17 @@ def _jackknife(batch_values: np.ndarray, combine: Callable[[np.ndarray], float])
     return estimate, sigma
 
 
-def _run_batches(op: str, cfg: ExperimentConfig, spec: McSpec, box, width: int, accumulate):
+def _run_batches(op: str, cfg: ExperimentConfig, spec: McSpec, width: int, accumulate):
     """The sampler shared by both estimators.
 
-    Draws every batch from its own Philox stream, computes kz and zeroes the
-    weights of unphysical draws, then calls accumulate(weights, ki, ks),
-    which returns the batch's `width` accumulator sums and the per-sample
-    contributions the effective sample size is taken over. Returns the
-    (batches, width) sums, the ESS, the rejection fraction and the sample
-    count; raises ConvergenceError naming op on a zero ESS.
+    Draws every batch from its own Philox stream through the Gaussian
+    proposal, computes kz and zeroes the weights of unphysical draws, then
+    calls accumulate(weights, ki, ks), which returns the batch's `width`
+    accumulator sums and the per-sample contributions the effective sample
+    size is taken over. Returns the (batches, width) sums, the ESS, the
+    rejection fraction and the sample count; raises ConvergenceError naming
+    op on a zero ESS.
     """
-    if box is not None and spec.importance is not ImportanceScheme.UNIFORM_BOX:
-        raise DomainError("an explicit box is only meaningful for uniform_box importance")
-    if spec.importance is ImportanceScheme.UNIFORM_BOX and box is None:
-        box = _default_box(cfg)
-
     sizes = _batch_sizes(int(spec.samples))
     sums = np.zeros((len(sizes), width))
     accepted_w = 0.0
@@ -204,10 +175,7 @@ def _run_batches(op: str, cfg: ExperimentConfig, spec: McSpec, box, width: int, 
 
     for index, size in enumerate(sizes):
         rng = _batch_rng(spec.seed, index)
-        if spec.importance is ImportanceScheme.UNIFORM_BOX:
-            kx, ky, kappa, weights = _draw_uniform(rng, size, box)
-        else:
-            kx, ky, kappa, weights = _draw_gaussian(rng, size, cfg)
+        kx, ky, kappa, weights = _draw_gaussian(rng, size, cfg)
         kz, valid = _physical_kz(kx, ky, kappa)
         weights = np.where(valid, weights, 0.0)
         rejected += int(np.count_nonzero(~valid))
@@ -223,20 +191,14 @@ def _run_batches(op: str, cfg: ExperimentConfig, spec: McSpec, box, width: int, 
     return sums, accepted_w**2 / accepted_w2, rejected / total_samples, total_samples
 
 
-def mc_integral(
-    f: Callable,
-    cfg: ExperimentConfig,
-    spec: McSpec,
-    box=None,
-) -> McIntegralResult:
+def mc_integral(f: Callable, cfg: ExperimentConfig, spec: McSpec) -> McIntegralResult:
     """Unbiased 6D integral estimate of f over photon-pair phase space.
 
     f is called with two (kx, ky, kz) triplets of equal-length arrays and
-    must return the per-sample integrand. With UNIFORM_BOX an explicit
-    per-photon box ((kx0,kx1),(ky0,ky1),(kappa0,kappa1)) may be supplied;
-    GAUSSIAN_PROPOSAL shapes itself from the config's filters and pump.
-    The standard error comes from leave-one-batch-out resampling. Requires
-    a full6d config; identical (f, cfg, spec) reruns are bit-identical.
+    must return the per-sample integrand. The proposal shapes itself from
+    the config's filters and pump. The standard error comes from
+    leave-one-batch-out resampling. Requires a full6d config; identical
+    (f, cfg, spec) reruns are bit-identical.
     """
     _check_full6d(cfg, "mc_integral")
 
@@ -245,7 +207,7 @@ def mc_integral(
         return (np.sum(weights * values),), np.abs(weights * values)
 
     sums, ess, rejection, total_samples = _run_batches(
-        "mc_integral", cfg, spec, box, 1, accumulate
+        "mc_integral", cfg, spec, 1, accumulate
     )
     value, sigma = _jackknife(sums, lambda t: float(t[0]) / total_samples)
     return McIntegralResult(
@@ -253,7 +215,7 @@ def mc_integral(
         error_estimate=sigma,
         evals=total_samples,
         converged=bool(np.isfinite(value) and np.isfinite(sigma) and ess >= MIN_ESS),
-        method=f"mc_{spec.importance.value}",
+        method="mc_gaussian_proposal",
         rejection_fraction=rejection,
         effective_sample_size=ess,
         batches=len(sums),
@@ -265,7 +227,6 @@ def mc_enhancement_ratio(
     cfg: ExperimentConfig,
     spec: McSpec,
     channel: Optional[Channel] = None,
-    amplitude_scale: float = 1.0,
 ) -> McRatioResult:
     """Enhancement ratio from the full 6D model, with propagated error.
 
@@ -280,13 +241,11 @@ def mc_enhancement_ratio(
         raise KernelError(
             f"mc_enhancement_ratio supports only ell = 1 channels, got {channel.name!r}"
         )
-    if not amplitude_scale > 0.0:
-        raise DomainError(f"amplitude_scale must be > 0, got {amplitude_scale!r}")
     cfg_eff = cfg.replace(channel_energy_ev=channel.transition_energy_ev)
     paraxial = cfg_eff.regime is Regime.PARAXIAL
 
     def accumulate(weights, ki, ks):
-        f_sep, mag_i, mag_s = _separable_6d(ki, ks, cfg_eff, amplitude_scale)
+        f_sep, mag_i, mag_s = _separable_6d(ki, ks, cfg_eff)
         f_ent = f_sep * _entangling_6d(ki, ks, mag_i, mag_s, cfg_eff)
         obliquity = 2.0 if paraxial else ki[2] / mag_i + ks[2] / mag_s
         # sums of [F_ent, F_ent^2, F_ent^2 w, F_sep, F_sep^2, F_sep^2 w]; the
@@ -303,7 +262,7 @@ def mc_enhancement_ratio(
         return sums, np.abs(weights * f_sep**2)
 
     sums, ess, rejection, total_samples = _run_batches(
-        "mc_enhancement_ratio", cfg_eff, spec, None, 6, accumulate
+        "mc_enhancement_ratio", cfg_eff, spec, 6, accumulate
     )
 
     def combine(t):
@@ -353,6 +312,8 @@ def default_check_configs(count: int = 10, seed: int = 20260822) -> Tuple[Experi
     Log-uniform over crystal lengths [0.05, 50] um and pump waists [3, 50] um,
     narrowband filters, exact regime. Deterministic for a given (count, seed).
     """
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count!r}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     lengths = np.exp(rng.uniform(math.log(0.05), math.log(50.0), size=count))
     waists = np.exp(rng.uniform(math.log(3.0), math.log(50.0), size=count))
@@ -367,22 +328,18 @@ def default_check_configs(count: int = 10, seed: int = 20260822) -> Tuple[Experi
     )
 
 
-def reduced_vs_full_check(
-    cfg: ExperimentConfig,
-    spec: McSpec,
-    rel_floor: float = 0.05,
-) -> CrossCheckRow:
+def reduced_vs_full_check(cfg: ExperimentConfig, spec: McSpec) -> CrossCheckRow:
     """Compare the reduced-path ratio against the 6D Monte Carlo ratio.
 
     Agreement means the Monte Carlo ratio converged and
-    |R_reduced / R_full - 1| <= max(rel_floor, 3 sigma / R_full).
+    |R_reduced / R_full - 1| <= max(REL_FLOOR, 3 sigma / R_full).
     """
     from .observables import enhancement_ratio
 
     full = mc_enhancement_ratio(cfg, spec)
     reduced = enhancement_ratio(cfg.replace(reduction=Reduction.REDUCED_2D))
     deviation = abs(reduced.R / full.R - 1.0)
-    tolerance = max(rel_floor, 3.0 * full.sigma_R / abs(full.R))
+    tolerance = max(REL_FLOOR, 3.0 * full.sigma_R / abs(full.R))
     return CrossCheckRow(
         config=cfg,
         R_reduced=reduced.R,

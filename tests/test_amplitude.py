@@ -130,6 +130,34 @@ def test_delta_kz_domain_errors():
     assert delta_kz_paraxial(0.0, -1.5 * K0_REF, K0_REF) > 0.0
 
 
+def _delta_kz_exact_formula(kix, ksx, k0):
+    # the earlier whole-array expression, before the in-place helper
+    pump = kix + ksx
+    return np.sqrt(4.0 * k0**2 - pump**2) - (
+        np.sqrt(k0**2 - kix**2) + np.sqrt(k0**2 - ksx**2)
+    )
+
+
+def test_delta_kz_exact_bit_identical_to_array_formula():
+    rng = np.random.default_rng(2025)
+    n = 10**5
+    kix = rng.uniform(-K0_REF, K0_REF, n)
+    ksx = rng.uniform(-K0_REF, K0_REF, n)
+    # the kinematic edge |kx| = k0, each photon against the other's open side
+    kix[:100], ksx[:100] = K0_REF, rng.uniform(-K0_REF, 0.0, 100)
+    kix[100:200], ksx[100:200] = rng.uniform(0.0, K0_REF, 100), -K0_REF
+    kix[200], ksx[200] = K0_REF, -K0_REF
+    got = delta_kz_exact(kix, ksx, K0_REF)
+    assert isinstance(got, np.ndarray)
+    assert _same_bits(got, _delta_kz_exact_formula(kix, ksx, K0_REF))
+    # broadcast 2-D input and a scalar pair take the same path
+    col, row = kix[:300, None], ksx[None, :200]
+    assert _same_bits(delta_kz_exact(col, row, K0_REF), _delta_kz_exact_formula(col, row, K0_REF))
+    scalar = delta_kz_exact(5.0, -5.0, K0_REF)
+    assert isinstance(scalar, float)
+    assert _same_bits(scalar, _delta_kz_exact_formula(5.0, -5.0, K0_REF))
+
+
 def test_exact_paraxial_taylor_agreement():
     # for |kx| << k0 the exact mismatch approaches the quadratic expansion
     rng = np.random.default_rng(3)

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from qionize import oracle
 from qionize.amplitude import AmplitudeKind, eval_amplitude
 from qionize.observables import QUADRUPOLE, KernelError, enhancement_ratio, normalization
 from qionize.oracle import (
-    MIN_ESS,
     MIN_SAMPLES,
     PRNG_ID,
     CrossCheckRow,
-    ImportanceScheme,
     McIntegralResult,
     McSpec,
     default_check_configs,
@@ -31,34 +30,39 @@ def test_mc_spec_validation():
     assert MIN_SAMPLES == 100_000
     with pytest.raises(DomainError):
         McSpec(samples=MIN_SAMPLES - 1)
-    with pytest.raises(DomainError):
-        McSpec(importance="gaussian")  # must be the enum, not a string
 
 
-def test_uniform_box_constant_integrand_is_exact():
-    # volume of the pair box is 4 * 4 = 16; a constant integrand leaves no
-    # variance for the jackknife to find
-    spec = McSpec(samples=100_000, seed=1, importance=ImportanceScheme.UNIFORM_BOX)
-    box = ((-1.0, 1.0), (-1.0, 1.0), (10.0, 11.0))
-    res = mc_integral(ONES, CFG_6D, spec, box=box)
+def test_mc_integral_result_fields():
+    # |F_sep|^2, the integrand the proposal is shaped after, at default filters
+    spec = McSpec(samples=100_000, seed=1)
+    res = mc_integral(
+        lambda ki, ks: eval_amplitude(ki, ks, CFG_6D, AmplitudeKind.SEPARABLE) ** 2,
+        CFG_6D,
+        spec,
+    )
     assert isinstance(res, McIntegralResult)
-    assert res.value == 16.0
-    assert res.error_estimate == 0.0
     assert res.rejection_fraction == 0.0
-    assert res.effective_sample_size == 100_000.0
     assert res.batches == 10
-    assert res.method == "mc_uniform_box"
+    assert res.method == "mc_gaussian_proposal"
     assert res.prng == PRNG_ID
     assert res.converged
 
 
+def test_jackknife_of_identical_batches_has_zero_sigma():
+    # identical batch rows leave no spread for the leave-one-out estimates
+    rows = np.full((10, 2), 1.6)
+    estimate, sigma = oracle._jackknife(rows, lambda t: float(t[0] / t[1]))
+    assert estimate == 1.0
+    assert sigma == 0.0
+
+
 def test_rejection_counts_unphysical_draws():
-    # kappa near 1 with |kx|, |ky| up to 1 puts many draws below kz = 0
-    spec = McSpec(samples=100_000, seed=2, importance=ImportanceScheme.UNIFORM_BOX)
-    box = ((-1.0, 1.0), (-1.0, 1.0), (0.5, 1.5))
-    res = mc_integral(ONES, CFG_6D, spec, box=box)
+    # a |k| proposal 1/0.1 = 10 um^-1 wide around k0 ~ 19 um^-1 puts many
+    # kappa draws below sqrt(kx^2 + ky^2); the default filters put none there
+    spec = McSpec(samples=100_000, seed=2)
+    res = mc_integral(ONES, CFG_6D.replace(filter_omega_um=0.1), spec)
     assert 0.2 < res.rejection_fraction < 0.8
-    assert res.value < 16.0
+    assert mc_integral(ONES, CFG_6D, spec).rejection_fraction == 0.0
 
 
 def test_mc_integral_determinism():
@@ -72,11 +76,9 @@ def test_mc_integral_determinism():
     assert c.value != a.value  # a fresh seed must actually reshuffle
 
 
-def test_mc_integral_rejects_wrong_reduction_and_box_misuse():
+def test_mc_integral_rejects_wrong_reduction():
     with pytest.raises(DomainError, match="full6d"):
         mc_integral(ONES, ExperimentConfig(), McSpec(samples=100_000))
-    with pytest.raises(DomainError, match="box"):
-        mc_integral(ONES, CFG_6D, McSpec(samples=100_000), box=((-1, 1), (-1, 1), (1, 2)))
 
 
 def test_full_norm_integral_matches_reduced_times_filter_constants():
@@ -128,8 +130,6 @@ def test_mc_ratio_guards():
         mc_enhancement_ratio(ExperimentConfig(), McSpec(samples=100_000))
     with pytest.raises(KernelError):
         mc_enhancement_ratio(CFG_6D, McSpec(samples=100_000), channel=QUADRUPOLE)
-    with pytest.raises(DomainError):
-        mc_enhancement_ratio(CFG_6D, McSpec(samples=100_000), amplitude_scale=-1.0)
 
 
 def test_default_check_configs_deterministic_and_in_range():
@@ -138,6 +138,9 @@ def test_default_check_configs_deterministic_and_in_range():
     assert a == b
     assert len(a) == 10
     assert len(default_check_configs(count=3)) == 3
+    for count in (0, -2):
+        with pytest.raises(DomainError, match="count"):
+            default_check_configs(count)
     for cfg in a:
         assert 0.05 <= cfg.crystal_length_um <= 50.0
         assert 3.0 <= cfg.pump_waist_um <= 50.0
@@ -155,12 +158,11 @@ def test_reduced_vs_full_check_row():
     assert row.rel_deviation <= row.tolerance
 
 
-@pytest.mark.parametrize("importance", list(ImportanceScheme))
 @pytest.mark.parametrize("cfg", default_check_configs(2, 5))
-def test_mc_integral_of_squared_amplitude_matches_ratio_accumulators(cfg, importance):
+def test_mc_integral_of_squared_amplitude_matches_ratio_accumulators(cfg):
     # both estimators draw the same samples and evaluate the same amplitude,
     # so only the summation order of the batch totals may differ
-    spec = McSpec(samples=MIN_SAMPLES, seed=17, importance=importance)
+    spec = McSpec(samples=MIN_SAMPLES, seed=17)
     ratio = mc_enhancement_ratio(cfg, spec)
     for kind, key in ((AmplitudeKind.ENTANGLED, "I2_ent"), (AmplitudeKind.SEPARABLE, "I2_sep")):
         integral = mc_integral(
@@ -171,27 +173,20 @@ def test_mc_integral_of_squared_amplitude_matches_ratio_accumulators(cfg, import
 
 # (R, sigma_R, I1_ent) of mc_enhancement_ratio and (value, error) of
 # mc_integral of |F_ent|^2 at default_check_configs(2, 5)[0], 1e5 samples, seed 17
-MC_PINS = {
-    ImportanceScheme.UNIFORM_BOX: (
-        (0.14066412122979247, 34.75141522815933, 4.016202696132176e-33),
-        (1.2402961250446557e-35, 8.421559444178633e-36),
-    ),
-    ImportanceScheme.GAUSSIAN_PROPOSAL: (
-        (0.2611564256493265, 0.003872418699120077, 2.230691500417375e-30),
-        (3.7252944089606393e-31, 3.3369429303502086e-33),
-    ),
-}
+MC_PINS = (
+    (0.2611564256493265, 0.003872418699120077, 2.230691500417375e-30),
+    (3.7252944089606393e-31, 3.3369429303502086e-33),
+)
 
 
-@pytest.mark.parametrize("importance", list(ImportanceScheme))
-def test_mc_estimators_regression_pin(importance):
+def test_mc_estimators_regression_pin():
     cfg = default_check_configs(2, 5)[0]
-    spec = McSpec(samples=MIN_SAMPLES, seed=17, importance=importance)
+    spec = McSpec(samples=MIN_SAMPLES, seed=17)
     ratio = mc_enhancement_ratio(cfg, spec)
     integral = mc_integral(
         lambda ki, ks: eval_amplitude(ki, ks, cfg, AmplitudeKind.ENTANGLED) ** 2, cfg, spec
     )
-    ratio_pin, integral_pin = MC_PINS[importance]
+    ratio_pin, integral_pin = MC_PINS
     got = (ratio.R, ratio.sigma_R, ratio.diagnostics["I1_ent"])
     assert got == pytest.approx(ratio_pin, rel=1e-12, abs=0.0)
     assert (integral.value, integral.error_estimate) == pytest.approx(
@@ -199,17 +194,17 @@ def test_mc_estimators_regression_pin(importance):
     )
 
 
-@pytest.mark.parametrize(
-    "importance, converged", [(ImportanceScheme.UNIFORM_BOX, False),
-                              (ImportanceScheme.GAUSSIAN_PROPOSAL, True)]
-)
-def test_unconverged_mc_ratio_never_agrees(importance, converged):
-    # the uniform box misses the pump here: ESS ~ 1.7 and a 3 sigma / R
-    # tolerance of ~741, wide enough to pass any reduced R
+@pytest.mark.parametrize("converged", [False, True])
+def test_unconverged_mc_ratio_never_agrees(converged, monkeypatch):
+    # an ESS below MIN_ESS must veto agreement however close R lands
     cfg = default_check_configs(2, 5)[0]
-    spec = McSpec(samples=MIN_SAMPLES, seed=17, importance=importance)
+    spec = McSpec(samples=MIN_SAMPLES, seed=17)
+    ess = mc_enhancement_ratio(cfg, spec).effective_sample_size
+    if not converged:
+        monkeypatch.setattr(oracle, "MIN_ESS", 2.0 * ess)
     ratio = mc_enhancement_ratio(cfg, spec)
     assert ratio.converged is converged
-    assert (ratio.effective_sample_size >= MIN_ESS) is converged
+    assert (ratio.effective_sample_size >= oracle.MIN_ESS) is converged
     row = reduced_vs_full_check(cfg, spec)
+    assert row.rel_deviation <= row.tolerance
     assert row.agrees is converged

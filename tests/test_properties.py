@@ -1,0 +1,133 @@
+"""Property tests of the CLI and the flat config format (needs Hypothesis)."""
+
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qionize.cli import main
+from qionize.units import (
+    _FORMAT,
+    _RETIRED,
+    ConfigError,
+    Reduction,
+    Regime,
+    dump_config,
+    load_config,
+)
+
+# flag values for `qionize ratio`: ones the model accepts (finite lengths at
+# or below 100 um, where the budget check comes early), floats it must
+# reject, and text that is not a float
+_VALID = (
+    st.floats(min_value=0.0, max_value=100.0, exclude_min=True).map(repr),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
+    st.sampled_from([r.value for r in Regime]),
+)
+_REJECTED = st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "1e400"])
+_MALFORMED = st.sampled_from(["", " ", "abc", "1,5", "--", "-h", "0x1p3", "1e"]) | st.text(
+    max_size=6
+)
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+# about half the draws are all valid, so that runs reach the quadrature; the
+# rest mix in floats the CLI must reject and text that is not a float
+@given(
+    flags=st.tuples(*_VALID)
+    | st.tuples(*(valid | _REJECTED | _MALFORMED for valid in _VALID))
+)
+def test_cli_ratio_property_exit_codes(flags, tmp_path, capsys):
+    # any flag values give exit 0, 1 or 2 and a message, never a traceback
+    path = tmp_path / "budget.cfg"
+    path.write_text("quadrature.max_evals = 100000\n")
+    length, waist, regime = flags
+    argv = ["ratio", "--config", str(path), f"--length={length}", f"--pump-waist={waist}",
+            f"--regime={regime}"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    assert (code == 0) is (err == ""), argv
+
+
+_KEYS = sorted(_FORMAT) + sorted(_RETIRED)
+_INTEGER_KEYS = ("quadrature.max_evals", "quadrature.seed")
+_ENUM_VALUES = {
+    "regime": [r.value for r in Regime],
+    "reduction": [r.value for r in Reduction],
+    "quadrature.method": ["tensor_gauss"],
+}
+
+
+def _accepted_value(key):
+    if key in _ENUM_VALUES:
+        return st.sampled_from(_ENUM_VALUES[key])
+    if key in _INTEGER_KEYS:
+        return st.integers(min_value=1, max_value=10**8).map(str)
+    return st.floats(min_value=1e-6, max_value=1e6).map(repr)
+
+
+# known keys, each at most once, with values their parsers accept
+_ACCEPTED_TEXT = st.lists(st.sampled_from(_KEYS), unique=True, max_size=len(_KEYS)).flatmap(
+    lambda keys: st.tuples(
+        *(
+            st.tuples(st.just(key), st.sampled_from(["=", " = "]), _accepted_value(key))
+            for key in keys
+        )
+    )
+)
+_HOSTILE_VALUE = st.sampled_from(["nan", "1e400", "2.7", "1_0", "-1", "0", ""]) | st.text(
+    max_size=8
+)
+# distinct known keys, each with a hostile value or one some parser accepts
+_HOSTILE_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(_KEYS),
+        st.sampled_from(["=", " = "]),
+        _HOSTILE_VALUE | st.sampled_from(_KEYS).flatmap(_accepted_value),
+    ),
+    max_size=5,
+    unique_by=lambda line: line[0],
+)
+# at most one line with a random key or the separator ':'
+_ODD_LINE = st.tuples(
+    st.sampled_from(_KEYS) | st.text(max_size=12),
+    st.sampled_from(["=", " = ", ":"]),
+    _HOSTILE_VALUE,
+)
+_HOSTILE_TEXT = st.tuples(
+    _HOSTILE_LINES, st.lists(_ODD_LINE, max_size=1), st.integers(min_value=0, max_value=5)
+).map(lambda parts: parts[0][: parts[2]] + parts[1] + parts[0][parts[2] :])
+
+
+def _load(lines):
+    return load_config(io.StringIO("".join(f"{key}{sep}{value}\n" for key, sep, value in lines)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lines=_ACCEPTED_TEXT)
+def test_accepted_config_text_loads_and_round_trips(lines):
+    cfg = _load(lines)
+    assert load_config(io.StringIO(dump_config(cfg))) == cfg
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(lines=_HOSTILE_TEXT)
+def test_hostile_config_text_loads_or_raises_config_error(lines):
+    # never another exception; what loads round-trips
+    try:
+        cfg = _load(lines)
+    except ConfigError:
+        return
+    assert load_config(io.StringIO(dump_config(cfg))) == cfg

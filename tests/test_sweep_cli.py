@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import qionize
 from qionize.cli import main
@@ -330,6 +328,20 @@ def test_cli_oracle_check(capsys):
     assert "agreement: all configs" in out
 
 
+def test_cli_rejects_counts_below_one(tmp_path, capsys):
+    # zero configs would report agreement with nothing checked
+    for count in ("0", "-2"):
+        assert main(["oracle-check", "--configs", count, "--samples", "100000"]) == 1
+        err = capsys.readouterr().err
+        assert "--configs" in err
+        assert "Traceback" not in err
+    out = str(tmp_path / "fig2c.csv")
+    for workers in ("0", "-1"):
+        assert main(["sweep", "--preset", "fig2c", "--out", out, "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "fig2c.csv").exists()
+
+
 def test_cli_presets(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
@@ -344,47 +356,6 @@ def test_cli_config_file_and_nonconvergence(tmp_path, capsys):
     )
     assert main(["ratio", "--config", str(path)]) == 2
     assert "not converged" in capsys.readouterr().err
-
-
-# flag values for `qionize ratio`: ones the model accepts (finite lengths at
-# or below 100 um, where the budget check comes early), floats it must
-# reject, and text that is not a float
-_VALID = (
-    st.floats(min_value=0.0, max_value=100.0, exclude_min=True).map(repr),
-    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
-    st.sampled_from([r.value for r in Regime]),
-)
-_REJECTED = st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "1e400"])
-_MALFORMED = st.sampled_from(["", " ", "abc", "1,5", "--", "-h", "0x1p3", "1e"]) | st.text(
-    max_size=6
-)
-
-
-@settings(
-    max_examples=50,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-# about half the draws are all valid, so that runs reach the quadrature; the
-# rest mix in floats the CLI must reject and text that is not a float
-@given(
-    flags=st.tuples(*_VALID)
-    | st.tuples(*(valid | _REJECTED | _MALFORMED for valid in _VALID))
-)
-def test_cli_ratio_property_exit_codes(flags, tmp_path, capsys):
-    # any flag values give exit 0, 1 or 2 and a message, never a traceback
-    path = tmp_path / "budget.cfg"
-    path.write_text("quadrature.max_evals = 100000\n")
-    length, waist, regime = flags
-    argv = ["ratio", "--config", str(path), f"--length={length}", f"--pump-waist={waist}",
-            f"--regime={regime}"]
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err, argv
-    assert (code == 0) is (err == ""), argv
 
 
 def test_cli_rejects_retired_quadrature_method(tmp_path, capsys):
