@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 from .amplitude import (
     AmplitudeKind,
     NarrowbandGuardError,
-    PhotonMomentum,
-    ReducedPoint,
     delta_kz_exact,
     delta_kz_paraxial,
     eval_amplitude,
@@ -36,7 +34,6 @@ from .observables import (
     normalization,
     photon_flux,
     save_kernel,
-    sigma_ent_from_classical,
 )
 from .oracle import (
     McRatioResult,
@@ -84,11 +81,9 @@ __all__ = [
     "McSpec",
     "NarrowbandGuardError",
     "Parity",
-    "PhotonMomentum",
     "QuadratureSpec",
     "Quantity",
     "RatioResult",
-    "ReducedPoint",
     "Reduction",
     "Regime",
     "SweepAxis",
@@ -119,7 +114,6 @@ __all__ = [
     "reduced_vs_full_check",
     "run_sweep",
     "save_kernel",
-    "sigma_ent_from_classical",
     "sinc",
     "write_csv",
     "write_jsonl",

@@ -14,7 +14,6 @@ and return scalars for scalar input.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -23,8 +22,6 @@ from .units import DomainError, ExperimentConfig, Regime
 
 __all__ = [
     "AmplitudeKind",
-    "PhotonMomentum",
-    "ReducedPoint",
     "NarrowbandGuardError",
     "sinc",
     "delta_kz_exact",
@@ -50,33 +47,6 @@ class NarrowbandGuardError(DomainError):
     """Filters are too wide for the reduced 2D model to be valid."""
 
 
-@dataclass(frozen=True)
-class PhotonMomentum:
-    """One photon's wavevector components (um^-1). Forward propagation only."""
-
-    kx: ArrayLike
-    ky: ArrayLike
-    kz: ArrayLike
-
-    def __post_init__(self) -> None:
-        if np.any(np.asarray(self.kz) < 0.0):
-            raise DomainError("PhotonMomentum requires kz >= 0")
-
-    @property
-    def magnitude(self) -> ArrayLike:
-        return np.sqrt(
-            np.asarray(self.kx) ** 2 + np.asarray(self.ky) ** 2 + np.asarray(self.kz) ** 2
-        )
-
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    """A point (kix, ksx) of the reduced transverse plane."""
-
-    kix: ArrayLike
-    ksx: ArrayLike
-
-
 def _maybe_scalar(value, *inputs):
     if all(np.ndim(arg) == 0 for arg in inputs):
         return float(value)
@@ -84,7 +54,7 @@ def _maybe_scalar(value, *inputs):
 
 
 def sinc(x: ArrayLike, out: Optional[np.ndarray] = None) -> ArrayLike:
-    """Unnormalized sinc, sin(x)/x with sinc(0) = 1.
+    """Unnormalized sinc, sin(x)/x with sinc(0) = 1 and sinc(+-inf) = 0.
 
     |x| < 1e-4 uses the Taylor series 1 - x^2/6 + x^4/120, exact to double
     precision in that range; elsewhere the direct quotient. out, a float
@@ -95,13 +65,16 @@ def sinc(x: ArrayLike, out: Optional[np.ndarray] = None) -> ArrayLike:
     # an explicit out keeps even a 0-d result an array, writable in place
     value = np.empty(arr.shape) if out is None else out
     small = np.abs(arr, out=value) < 1e-4
-    np.sin(arr, out=value)
-    # only x == 0 divides 0 by 0; its nan is overwritten by the series below
+    infinite = value.max(initial=0.0) == np.inf  # one reduction, no mask array
+    # x == 0 gives 0/0 and x == +-inf gives sin(inf) = nan; both are overwritten
     with np.errstate(invalid="ignore"):
+        np.sin(arr, out=value)
         np.divide(value, arr, out=value)
     if small.any():
         tiny = arr[small]
         value[small] = 1.0 - tiny**2 / 6.0 + tiny**4 / 120.0
+    if infinite:
+        value[np.isinf(arr)] = 0.0
     return value if out is not None else _maybe_scalar(value, x)
 
 
@@ -176,30 +149,17 @@ def pump_envelope(
     """Gaussian pump spectrum over summed transverse momenta.
 
     exp(-omega_p^2 kpx^2 / 2 - omega_py^2 kpy^2 / 2); peak value 1 at the
-    origin, 1/e at kpx = sqrt(2)/omega_p.
+    origin, 1/e at kpx = sqrt(2)/omega_p. A square that overflows gives
+    its exact limit 0, without a warning.
     """
     if not (omega_p > 0.0 and omega_py > 0.0):
         raise DomainError("pump waists must be > 0")
-    value = np.exp(
-        -0.5 * (omega_p * np.asarray(kpx, dtype=float)) ** 2
-        - 0.5 * (omega_py * np.asarray(kpy, dtype=float)) ** 2
-    )
-    return _maybe_scalar(value, kpx, kpy)
-
-
-def _components(photon) -> tuple:
-    if isinstance(photon, PhotonMomentum):
-        return (
-            np.asarray(photon.kx, dtype=float),
-            np.asarray(photon.ky, dtype=float),
-            np.asarray(photon.kz, dtype=float),
+    with np.errstate(over="ignore"):
+        value = np.exp(
+            -0.5 * (omega_p * np.asarray(kpx, dtype=float)) ** 2
+            - 0.5 * (omega_py * np.asarray(kpy, dtype=float)) ** 2
         )
-    kx, ky, kz = photon
-    return (
-        np.asarray(kx, dtype=float),
-        np.asarray(ky, dtype=float),
-        np.asarray(kz, dtype=float),
-    )
+    return _maybe_scalar(value, kpx, kpy)
 
 
 def _delta_kz_6d(kix, kiy, kiz, ksx, ksy, ksz, mag_i, mag_s, regime: Regime):
@@ -249,20 +209,22 @@ def eval_amplitude(ki, ks, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayL
     spectral filter exp(-Omega^2 (|k| - k0)^2 / 2), a per-photon transverse
     filter exp(-Omega_y^2 ky^2 / 2), and, for the entangled kind, the
     phase-matching factor sinc(L * delta_kz / 2) in the configured regime.
-    Zero wherever either kz < 0. Accepts PhotonMomentum or (kx, ky, kz)
-    triplets of broadcastable arrays.
+    Zero wherever either kz < 0. ki and ks are (kx, ky, kz) triplets of
+    broadcastable arrays. Squares and phases that overflow give their exact
+    limits, exp(-inf) = 0 and sinc(inf) = 0, without a warning.
     """
     if not isinstance(kind, AmplitudeKind):
         raise DomainError(f"kind must be an AmplitudeKind, got {kind!r}")
-    kix, kiy, kiz = _components(ki)
-    ksx, ksy, ksz = _components(ks)
+    kix, kiy, kiz = (np.asarray(k, dtype=float) for k in ki)
+    ksx, ksy, ksz = (np.asarray(k, dtype=float) for k in ks)
 
     forward = (kiz >= 0.0) & (ksz >= 0.0)
     ki_safe = (kix, kiy, np.where(forward, kiz, 0.0))
     ks_safe = (ksx, ksy, np.where(forward, ksz, 0.0))
-    value, mag_i, mag_s = _separable_6d(ki_safe, ks_safe, cfg)
-    if kind is AmplitudeKind.ENTANGLED:
-        value = value * _entangling_6d(ki_safe, ks_safe, mag_i, mag_s, cfg)
+    with np.errstate(over="ignore"):
+        value, mag_i, mag_s = _separable_6d(ki_safe, ks_safe, cfg)
+        if kind is AmplitudeKind.ENTANGLED:
+            value = value * _entangling_6d(ki_safe, ks_safe, mag_i, mag_s, cfg)
     value = np.where(forward, value, 0.0)
     return _maybe_scalar(value, kix, kiy, kiz, ksx, ksy, ksz)
 
@@ -287,30 +249,27 @@ def eval_reduced(point, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike
     amplitude collapses to
     exp(-omega_p^2 (kix+ksx)^2 / 2) * sinc(L * delta_kz / 2)
     on the open square (-k0, k0)^2, the sinc present only for the entangled
-    kind, delta_kz chosen by cfg.regime. Accepts a ReducedPoint or a
-    (kix, ksx) pair of broadcastable arrays.
+    kind, delta_kz chosen by cfg.regime. point is a (kix, ksx) pair of
+    broadcastable arrays. A pump or phase argument that overflows gives its
+    exact limit, exp(-inf) = 0 or sinc(inf) = 0, without a warning.
     """
     if not isinstance(kind, AmplitudeKind):
         raise DomainError(f"kind must be an AmplitudeKind, got {kind!r}")
     check_narrowband_guard(cfg)
-    if isinstance(point, ReducedPoint):
-        kix, ksx = point.kix, point.ksx
-    else:
-        kix, ksx = point
+    kix, ksx = point
     kix_arr = np.asarray(kix, dtype=float)
     ksx_arr = np.asarray(ksx, dtype=float)
     k0 = cfg.k0
     if np.any(np.abs(kix_arr) >= k0) or np.any(np.abs(ksx_arr) >= k0):
         raise DomainError("eval_reduced requires |kx| < k0 for each photon (open square)")
 
-    value = _reduced_amplitude(kix_arr + ksx_arr, kix_arr, ksx_arr, cfg, kind)
+    with np.errstate(over="ignore"):
+        value = _reduced_amplitude(kix_arr + ksx_arr, kix_arr, ksx_arr, cfg, kind)
     return _maybe_scalar(value, kix, ksx)
 
 
-def _reduced_amplitude(
-    u, kix, ksx, cfg: ExperimentConfig, kind: AmplitudeKind, scale: float = 1.0, work=None
-):
-    """Unchecked reduced amplitude times scale at pump sum u = kix + ksx.
+def _reduced_amplitude(u, kix, ksx, cfg: ExperimentConfig, kind: AmplitudeKind, work=None):
+    """Unchecked reduced amplitude at pump sum u = kix + ksx.
 
     Callers that parametrize the plane by u pass it directly rather than
     the rounded sum of kix and ksx. The exact mismatch clamps its roots at
@@ -325,10 +284,9 @@ def _reduced_amplitude(
         shape = np.broadcast_shapes(np.shape(u), np.shape(kix), np.shape(ksx))
         work = [np.empty(shape) for _ in range(4)]
     value, a, b, c = work
-    # scale * exp(-0.5 * (omega_p u)^2), one in-place step at a time
+    # exp(-0.5 * (omega_p u)^2), one in-place step at a time
     np.square(np.multiply(u, cfg.pump_waist_um, out=value), out=value)
     np.exp(np.multiply(value, -0.5, out=value), out=value)
-    np.multiply(value, scale, out=value)
     if kind is AmplitudeKind.ENTANGLED:
         k0 = cfg.k0
         if cfg.regime is Regime.PARAXIAL:

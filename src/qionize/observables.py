@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -38,12 +38,9 @@ __all__ = [
     "normalization",
     "photon_flux",
     "f_factor",
+    "ratio_from_integrals",
     "enhancement_ratio",
-    "sigma_ent_from_classical",
 ]
-
-# conversion used when flux densities in um^-2 meet cross sections in cm
-UM2_TO_CM2 = 1.0e-8  # 1 um^2 = 1e-8 cm^2, so 1 um^-2 = 1e8 cm^-2
 
 
 class KernelError(ValueError):
@@ -165,8 +162,6 @@ def make_synthetic_kernel(parity: Parity, n: int = 101) -> TabulatedKernel:
 class Channel:
     """A two-photon transition target.
 
-    linewidth_ev cancels between cross-section numerator and reference
-    denominator, so it is never evaluated; it is carried for reporting only.
     Channels with ell > 1 need an explicit kernel table before ratios can be
     computed; results are then labeled model_kernel since the weighting is a
     model input, not a first-principles matrix element.
@@ -176,7 +171,6 @@ class Channel:
     transition_energy_ev: float
     ell: int
     parity: Parity
-    linewidth_ev: Optional[float] = None
     kernel: Optional[TabulatedKernel] = None
 
     def __post_init__(self) -> None:
@@ -186,9 +180,7 @@ class Channel:
             raise DomainError(f"ell must be >= 1, got {self.ell!r}")
 
     def with_kernel(self, kernel: TabulatedKernel) -> "Channel":
-        import dataclasses
-
-        return dataclasses.replace(self, kernel=kernel)
+        return replace(self, kernel=kernel)
 
 
 DIPOLE = Channel("dipole", DEFAULT_CHANNEL_ENERGY_EV, 1, Parity.ODD)
@@ -218,12 +210,6 @@ class FilterFactor:
     def neutral(self) -> bool:
         return self.g1 == 0 and self.g2 == 0
 
-    def numeric(self, cfg: ExperimentConfig) -> float:
-        """Evaluate the constants; only for oracle cross-checks."""
-        g1 = 2.0 * math.pi / (cfg.filter_omega_y_um * cfg.filter_omega_um)
-        g2 = math.pi / (cfg.filter_omega_y_um * cfg.filter_omega_um)
-        return g1**self.g1 * g2**self.g2
-
     def __str__(self) -> str:
         return f"g1^{self.g1} g2^{self.g2}"
 
@@ -235,17 +221,11 @@ class Quantity:
     value: float
     factor: FilterFactor = FilterFactor()
 
-    def __mul__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.value * other.value, self.factor * other.factor)
-        return Quantity(self.value * float(other), self.factor)
+    def __mul__(self, other: "Quantity") -> "Quantity":
+        return Quantity(self.value * other.value, self.factor * other.factor)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.value / other.value, self.factor / other.factor)
-        return Quantity(self.value / float(other), self.factor)
+    def __truediv__(self, other: "Quantity") -> "Quantity":
+        return Quantity(self.value / other.value, self.factor / other.factor)
 
 
 # The reduced observables as functions of the three integrals' values:
@@ -294,7 +274,6 @@ def _reduced_integrand(
     power: int,
     obliquity: bool,
     even_kernel: Optional[Callable],
-    amplitude_scale: float,
 ) -> Callable:
     """Integrand over angle coordinates (s, t) covering the open rhombus.
 
@@ -339,7 +318,7 @@ def _reduced_integrand(
         np.multiply(half_u, np.cos(t), out=jac)
         np.multiply(np.add(u, v, out=kix), 0.5, out=kix)
         np.multiply(np.subtract(u, v, out=ksx), 0.5, out=ksx)
-        value = _reduced_amplitude(u, kix, ksx, cfg, kind, amplitude_scale, work)
+        value = _reduced_amplitude(u, kix, ksx, cfg, kind, work)
         if power == 2:
             np.multiply(value, value, out=value)
         if obliquity:
@@ -384,10 +363,9 @@ def _integrate_reduced(
     power: int,
     obliquity: bool = False,
     even_kernel: Optional[Callable] = None,
-    amplitude_scale: float = 1.0,
 ) -> IntegralResult:
     check_narrowband_guard(cfg)
-    f = _reduced_integrand(cfg, kind, power, obliquity, even_kernel, amplitude_scale)
+    f = _reduced_integrand(cfg, kind, power, obliquity, even_kernel)
     return integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, _initial_panels(cfg))
 
 
@@ -474,19 +452,35 @@ def _relative_error(result: IntegralResult) -> float:
     return result.error_estimate / scale
 
 
+def ratio_from_integrals(values: Mapping[str, float]) -> Tuple[Quantity, Dict[str, Quantity]]:
+    """R = (C_ent/C_sep) * (f_ent/f_sep) from the six integral values, by name.
+
+    Returns R as a neutral Quantity and a dict of C_ent, f_ent, phi_ent, C_sep,
+    f_sep and phi_sep. A common amplitude scale s multiplies I1 by s and I2,
+    I2w by s^2; R is invariant under it.
+    """
+    parts: Dict[str, Quantity] = {}
+    for label in ("ent", "sep"):
+        i1, i2, i2w = (values[f"{name}_{label}"] for name in ("I1", "I2", "I2w"))
+        parts[f"C_{label}"] = _c_quantity(i2)
+        parts[f"f_{label}"] = _f_quantity(i1, i2w)
+        parts[f"phi_{label}"] = _phi_quantity(i2, i2w)
+    ratio = (parts["C_ent"] / parts["C_sep"]) * (parts["f_ent"] / parts["f_sep"])
+    assert ratio.factor.neutral, f"filter constants must cancel in R, got {ratio.factor}"
+    return ratio, parts
+
+
 def enhancement_ratio(
     cfg: ExperimentConfig,
     channel: Optional[Channel] = None,
-    amplitude_scale: float = 1.0,
     strict: bool = True,
 ) -> RatioResult:
     """Entangled-over-separable enhancement R = (C_ent/C_sep) * (f_ent/f_sep).
 
     channel defaults to the dipole. Channels with ell > 1 must carry a
     tabulated kernel, which weights the coherent sums and labels the result
-    model_kernel. amplitude_scale multiplies every amplitude before any
-    integral; R is invariant under it by construction and tests use the knob
-    to prove that. strict=True raises on any non-converged integral;
+    model_kernel. R is ratio_from_integrals of the six integrals.
+    strict=True raises on any non-converged integral;
     strict=False returns the assembled result with converged=False so sweep
     rows can record failures without aborting.
     """
@@ -496,25 +490,15 @@ def enhancement_ratio(
             f"channel {channel.name!r} (ell={channel.ell}) needs a tabulated kernel; "
             "attach one with Channel.with_kernel before computing ratios"
         )
-    if not amplitude_scale > 0.0:
-        raise DomainError(f"amplitude_scale must be > 0, got {amplitude_scale!r}")
     cfg_eff = cfg.replace(channel_energy_ev=channel.transition_energy_ev)
     kernel = channel.kernel
     even_kernel = _even_kernel(kernel, cfg_eff.k0) if kernel is not None else None
 
     integrals: Dict[str, IntegralResult] = {}
-    for kind in (AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE):
-        coherent = _integrate_reduced(
-            cfg_eff, kind, power=1, even_kernel=even_kernel, amplitude_scale=amplitude_scale
-        )
-        norm2 = _integrate_reduced(cfg_eff, kind, power=2, amplitude_scale=amplitude_scale)
-        weighted = _integrate_reduced(
-            cfg_eff, kind, power=2, obliquity=True, amplitude_scale=amplitude_scale
-        )
-        label = "ent" if kind is AmplitudeKind.ENTANGLED else "sep"
-        integrals[f"I1_{label}"] = coherent
-        integrals[f"I2_{label}"] = norm2
-        integrals[f"I2w_{label}"] = weighted
+    for kind, label in ((AmplitudeKind.ENTANGLED, "ent"), (AmplitudeKind.SEPARABLE, "sep")):
+        integrals[f"I1_{label}"] = _integrate_reduced(cfg_eff, kind, power=1, even_kernel=even_kernel)
+        integrals[f"I2_{label}"] = _integrate_reduced(cfg_eff, kind, power=2)
+        integrals[f"I2w_{label}"] = _integrate_reduced(cfg_eff, kind, power=2, obliquity=True)
 
     all_converged = all(r.converged for r in integrals.values())
     if strict and not all_converged:
@@ -523,15 +507,13 @@ def enhancement_ratio(
             [r for r in integrals.values() if not r.converged],
         )
 
-    def build(label: str):
-        i1, i2, i2w = (integrals[f"{name}_{label}"].value for name in ("I1", "I2", "I2w"))
-        return _c_quantity(i2), _f_quantity(i1, i2w), _phi_quantity(i2, i2w)
-
-    c_ent, f_ent, phi_ent = build("ent")
-    c_sep, f_sep, phi_sep = build("sep")
-
-    ratio = (c_ent / c_sep) * (f_ent / f_sep)
-    assert ratio.factor.neutral, f"filter constants must cancel in R, got {ratio.factor}"
+    try:
+        ratio, parts = ratio_from_integrals({name: r.value for name, r in integrals.items()})
+    except ArithmeticError:  # an integral's square left the float range; R divides by it
+        values = ", ".join(f"{name} = {r.value:.3g}" for name, r in integrals.items())
+        raise DomainError(
+            f"R leaves double precision at pump_waist_um = {cfg.pump_waist_um:g} ({values})"
+        ) from None
 
     # first-order error propagation through R's log derivative:
     # d ln R = -2 d I1s + 2 d I1e + 1/2 d I2s - 1/2 d I2e + d I2ws - d I2we
@@ -547,7 +529,6 @@ def enhancement_ratio(
 
     diagnostics: Dict[str, object] = dict(integrals)
     diagnostics["kernel"] = f"model_kernel:{kernel.name}" if kernel is not None else "none"
-    diagnostics["amplitude_scale"] = amplitude_scale
     diagnostics["conventions"] = {
         "obliquity_exact": "per-photon kz/|k| summed",
         "obliquity_paraxial": 2.0,
@@ -557,34 +538,11 @@ def enhancement_ratio(
 
     return RatioResult(
         R=ratio.value,
-        f_ent=f_ent,
-        f_sep=f_sep,
-        C_ent=c_ent,
-        C_sep=c_sep,
-        phi_ent=phi_ent,
-        phi_sep=phi_sep,
         regime=cfg_eff.regime,
         channel=channel.name,
         converged=all_converged,
         err_R=err_r,
         diagnostics=diagnostics,
+        **parts,
     )
 
-
-def sigma_ent_from_classical(
-    ratio: float, phi_sep_um2_s: float, sigma_classical_cm4_s: float
-) -> float:
-    """Effective entangled cross section from a classical two-photon one.
-
-    sigma_ent = R * phi_sep * sigma_classical, with the flux converted from
-    um^-2 s^-1 to cm^-2 s^-1 (factor 1e8) so the result lands in cm^2.
-    Monotone increasing in every argument.
-    """
-    if not ratio > 0.0:
-        raise DomainError(f"ratio must be > 0, got {ratio!r}")
-    if not phi_sep_um2_s > 0.0:
-        raise DomainError(f"phi_sep_um2_s must be > 0, got {phi_sep_um2_s!r}")
-    if not sigma_classical_cm4_s > 0.0:
-        raise DomainError(f"sigma_classical_cm4_s must be > 0, got {sigma_classical_cm4_s!r}")
-    phi_cm2_s = phi_sep_um2_s / UM2_TO_CM2
-    return ratio * phi_cm2_s * sigma_classical_cm4_s

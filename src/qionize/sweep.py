@@ -120,6 +120,8 @@ class SweepRecord:
 
 
 def _worker_count(requested: Optional[int]) -> int:
+    if requested is not None and requested < 1:
+        raise ConfigError(f"workers must be >= 1, got {requested!r}")
     cap = os.environ.get("QIONIZE_THREADS")
     count = requested
     if count is None:
@@ -178,8 +180,8 @@ def run_sweep(
 ) -> List[SweepRecord]:
     """Evaluate the plan against a base config; records come back in grid order.
 
-    Worker processes are capped by the QIONIZE_THREADS environment variable.
-    Results are independent of the worker count.
+    workers must be >= 1 and is capped by the QIONIZE_THREADS environment
+    variable. Results are independent of the worker count.
     """
     base = base if base is not None else ExperimentConfig()
     tasks = []

