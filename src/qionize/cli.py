@@ -215,11 +215,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse drops a flag value of "--" and stores [] in its place
+        empty = [name for name, value in vars(args).items() if value == []]
+        if empty:
+            raise _UsageError(f"--{empty[0].replace('_', '-')}: expected one value")
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"qionize: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, DomainError, ValueError, OSError) as exc:
+    except (_UsageError, ConfigError, DomainError, ValueError, OSError) as exc:
         print(f"qionize: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

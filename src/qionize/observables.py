@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "normalization",
     "photon_flux",
     "f_factor",
+    "INTEGRALS",
     "ratio_from_integrals",
     "enhancement_ratio",
 ]
@@ -228,8 +230,19 @@ class Quantity:
         return Quantity(self.value / other.value, self.factor / other.factor)
 
 
-# The reduced observables as functions of the three integrals' values:
-# I1 = integral of F, I2 = integral of |F|^2, I2w = integral of |F|^2 w.
+# The six reduced integrals in the order enhancement_ratio evaluates them,
+# name -> (amplitude kind, power p, obliquity): the integral of F^p, times
+# the obliquity w if set. C, f and Phi are functions of their values.
+INTEGRALS: Mapping[str, Tuple[AmplitudeKind, int, bool]] = {
+    "I1_ent": (AmplitudeKind.ENTANGLED, 1, False),
+    "I2_ent": (AmplitudeKind.ENTANGLED, 2, False),
+    "I2w_ent": (AmplitudeKind.ENTANGLED, 2, True),
+    "I1_sep": (AmplitudeKind.SEPARABLE, 1, False),
+    "I2_sep": (AmplitudeKind.SEPARABLE, 2, False),
+    "I2w_sep": (AmplitudeKind.SEPARABLE, 2, True),
+}
+
+
 def _c_quantity(i2: float) -> Quantity:
     return Quantity(1.0 / math.sqrt(i2), FilterFactor(g2=-1))
 
@@ -357,22 +370,38 @@ def _initial_panels(cfg: ExperimentConfig) -> Tuple[int, int]:
     return (n_s, n_t)
 
 
-def _integrate_reduced(
-    cfg: ExperimentConfig,
-    kind: AmplitudeKind,
-    power: int,
-    obliquity: bool = False,
-    even_kernel: Optional[Callable] = None,
-) -> IntegralResult:
+def _reduced_integrals(
+    cfg: ExperimentConfig, names: Iterable[str], kernel: Optional[TabulatedKernel] = None
+) -> Dict[str, IntegralResult]:
+    """The named INTEGRALS at cfg, in the order of names.
+
+    A kernel weights the coherent integrals I1 only. Each name is one call
+    of the module-global integrate_2d, looked up at call time.
+    """
     check_narrowband_guard(cfg)
-    f = _reduced_integrand(cfg, kind, power, obliquity, even_kernel)
-    return integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, _initial_panels(cfg))
+    panels = _initial_panels(cfg)
+    even_kernel = _even_kernel(kernel, cfg.k0) if kernel is not None else None
+    results = {}
+    for name in names:
+        kind, power, obliquity = INTEGRALS[name]
+        f = _reduced_integrand(cfg, kind, power, obliquity, even_kernel if power == 1 else None)
+        results[name] = integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, panels)
+    return results
 
 
-def _require_converged(name: str, result: IntegralResult) -> IntegralResult:
-    if not result.converged:
-        raise ConvergenceError(f"integral {name} did not converge", [result])
-    return result
+def _require_all_converged(integrals: Mapping[str, IntegralResult]) -> None:
+    failed = [name for name, result in integrals.items() if not result.converged]
+    if failed:
+        results = [integrals[name] for name in failed]
+        raise ConvergenceError(f"integrals {', '.join(failed)} did not converge", results)
+
+
+def _converged_values(kind: AmplitudeKind, cfg: ExperimentConfig, *prefixes: str) -> List[float]:
+    """Values of the integrals prefix_ent or prefix_sep of kind, all converged."""
+    label = "ent" if kind is AmplitudeKind.ENTANGLED else "sep"
+    integrals = _reduced_integrals(cfg, [f"{prefix}_{label}" for prefix in prefixes])
+    _require_all_converged(integrals)
+    return [result.value for result in integrals.values()]
 
 
 def normalization(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
@@ -381,10 +410,10 @@ def normalization(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
     The squared filter constants appear as g2^-1 on the symbolic factor, so
     only ratios of normalization constants are meaningful numbers.
     """
-    result = _require_converged("norm", _integrate_reduced(cfg, kind, power=2))
-    if not result.value > 0.0:
-        raise ConvergenceError("norm integral is not positive", [result])
-    return _c_quantity(result.value)
+    (i2,) = _converged_values(kind, cfg, "I2")
+    if not i2 > 0.0:
+        raise ConvergenceError(f"{kind.value} integral I2 = {i2!r} is not positive")
+    return _c_quantity(i2)
 
 
 def photon_flux(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
@@ -395,13 +424,9 @@ def photon_flux(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
     symbolic factor is g2^+1; absolute numbers require the caller to supply
     the common constant, ratios never do.
     """
-    norm2 = _require_converged("norm", _integrate_reduced(cfg, kind, power=2))
-    weighted = _require_converged(
-        "obliquity", _integrate_reduced(cfg, kind, power=2, obliquity=True)
-    )
-    flux = _phi_quantity(norm2.value, weighted.value)
+    flux = _phi_quantity(*_converged_values(kind, cfg, "I2", "I2w"))
     if not flux.value > 0.0:
-        raise ConvergenceError("flux must be positive", [norm2, weighted])
+        raise ConvergenceError(f"{kind.value} flux = {flux.value!r} is not positive")
     return flux
 
 
@@ -411,11 +436,7 @@ def f_factor(kind: AmplitudeKind, cfg: ExperimentConfig) -> Quantity:
     |integral of F|^2 / integral of |F|^2 * w. Carries g1^4 g2^-2; the factor
     is identical for both kinds and cancels in the enhancement ratio.
     """
-    coherent = _require_converged("coherent", _integrate_reduced(cfg, kind, power=1))
-    weighted = _require_converged(
-        "obliquity", _integrate_reduced(cfg, kind, power=2, obliquity=True)
-    )
-    return _f_quantity(coherent.value, weighted.value)
+    return _f_quantity(*_converged_values(kind, cfg, "I1", "I2w"))
 
 
 @dataclass(frozen=True)
@@ -447,9 +468,12 @@ class RatioResult:
 
 def _relative_error(result: IntegralResult) -> float:
     scale = abs(result.value)
-    if scale == 0.0:
-        return 0.0
-    return result.error_estimate / scale
+    return result.error_estimate / scale if scale != 0.0 else 0.0
+
+
+# |d ln R / d ln I| by name: err_R = |R| * sum of weight * relative error, in this order
+_ERR_R_WEIGHTS = {"I1_ent": 2.0, "I1_sep": 2.0, "I2_ent": 0.5, "I2_sep": 0.5,
+                  "I2w_ent": 1.0, "I2w_sep": 1.0}
 
 
 def ratio_from_integrals(values: Mapping[str, float]) -> Tuple[Quantity, Dict[str, Quantity]]:
@@ -457,14 +481,22 @@ def ratio_from_integrals(values: Mapping[str, float]) -> Tuple[Quantity, Dict[st
 
     Returns R as a neutral Quantity and a dict of C_ent, f_ent, phi_ent, C_sep,
     f_sep and phi_sep. A common amplitude scale s multiplies I1 by s and I2,
-    I2w by s^2; R is invariant under it.
+    I2w by s^2; R is invariant under it. I1 falls as 1 / pump_waist_um: an
+    I1 that squares below the smallest normal double, where f = I1^2 / I2w
+    loses precision, or any other range error is a DomainError naming it.
     """
     parts: Dict[str, Quantity] = {}
-    for label in ("ent", "sep"):
-        i1, i2, i2w = (values[f"{name}_{label}"] for name in ("I1", "I2", "I2w"))
-        parts[f"C_{label}"] = _c_quantity(i2)
-        parts[f"f_{label}"] = _f_quantity(i1, i2w)
-        parts[f"phi_{label}"] = _phi_quantity(i2, i2w)
+    try:
+        for label in ("ent", "sep"):
+            i1, i2, i2w = (values[f"{name}_{label}"] for name in ("I1", "I2", "I2w"))
+            if i1**2 < sys.float_info.min:
+                raise FloatingPointError
+            parts[f"C_{label}"] = _c_quantity(i2)
+            parts[f"f_{label}"] = _f_quantity(i1, i2w)
+            parts[f"phi_{label}"] = _phi_quantity(i2, i2w)
+    except ArithmeticError:
+        listed = ", ".join(f"{name} = {value:.3g}" for name, value in values.items())
+        raise DomainError(f"R leaves double precision: pump_waist_um too wide ({listed})") from None
     ratio = (parts["C_ent"] / parts["C_sep"]) * (parts["f_ent"] / parts["f_sep"])
     assert ratio.factor.neutral, f"filter constants must cancel in R, got {ratio.factor}"
     return ratio, parts
@@ -479,7 +511,7 @@ def enhancement_ratio(
 
     channel defaults to the dipole. Channels with ell > 1 must carry a
     tabulated kernel, which weights the coherent sums and labels the result
-    model_kernel. R is ratio_from_integrals of the six integrals.
+    model_kernel. R is ratio_from_integrals of the six INTEGRALS.
     strict=True raises on any non-converged integral;
     strict=False returns the assembled result with converged=False so sweep
     rows can record failures without aborting.
@@ -491,44 +523,16 @@ def enhancement_ratio(
             "attach one with Channel.with_kernel before computing ratios"
         )
     cfg_eff = cfg.replace(channel_energy_ev=channel.transition_energy_ev)
-    kernel = channel.kernel
-    even_kernel = _even_kernel(kernel, cfg_eff.k0) if kernel is not None else None
+    integrals = _reduced_integrals(cfg_eff, INTEGRALS, channel.kernel)
+    if strict:
+        _require_all_converged(integrals)
 
-    integrals: Dict[str, IntegralResult] = {}
-    for kind, label in ((AmplitudeKind.ENTANGLED, "ent"), (AmplitudeKind.SEPARABLE, "sep")):
-        integrals[f"I1_{label}"] = _integrate_reduced(cfg_eff, kind, power=1, even_kernel=even_kernel)
-        integrals[f"I2_{label}"] = _integrate_reduced(cfg_eff, kind, power=2)
-        integrals[f"I2w_{label}"] = _integrate_reduced(cfg_eff, kind, power=2, obliquity=True)
-
-    all_converged = all(r.converged for r in integrals.values())
-    if strict and not all_converged:
-        raise ConvergenceError(
-            "enhancement ratio integrals did not converge",
-            [r for r in integrals.values() if not r.converged],
-        )
-
-    try:
-        ratio, parts = ratio_from_integrals({name: r.value for name, r in integrals.items()})
-    except ArithmeticError:  # an integral's square left the float range; R divides by it
-        values = ", ".join(f"{name} = {r.value:.3g}" for name, r in integrals.items())
-        raise DomainError(
-            f"R leaves double precision at pump_waist_um = {cfg.pump_waist_um:g} ({values})"
-        ) from None
-
-    # first-order error propagation through R's log derivative:
-    # d ln R = -2 d I1s + 2 d I1e + 1/2 d I2s - 1/2 d I2e + d I2ws - d I2we
-    rel = (
-        2.0 * _relative_error(integrals["I1_ent"])
-        + 2.0 * _relative_error(integrals["I1_sep"])
-        + 0.5 * _relative_error(integrals["I2_ent"])
-        + 0.5 * _relative_error(integrals["I2_sep"])
-        + _relative_error(integrals["I2w_ent"])
-        + _relative_error(integrals["I2w_sep"])
-    )
-    err_r = abs(ratio.value) * rel
+    ratio, parts = ratio_from_integrals({name: r.value for name, r in integrals.items()})
+    rel = sum(weight * _relative_error(integrals[name]) for name, weight in _ERR_R_WEIGHTS.items())
 
     diagnostics: Dict[str, object] = dict(integrals)
-    diagnostics["kernel"] = f"model_kernel:{kernel.name}" if kernel is not None else "none"
+    kernel = channel.kernel
+    diagnostics["kernel"] = "none" if kernel is None else f"model_kernel:{kernel.name}"
     diagnostics["conventions"] = {
         "obliquity_exact": "per-photon kz/|k| summed",
         "obliquity_paraxial": 2.0,
@@ -540,9 +544,8 @@ def enhancement_ratio(
         R=ratio.value,
         regime=cfg_eff.regime,
         channel=channel.name,
-        converged=all_converged,
-        err_R=err_r,
+        converged=all(r.converged for r in integrals.values()),
+        err_R=abs(ratio.value) * rel,
         diagnostics=diagnostics,
         **parts,
     )
-

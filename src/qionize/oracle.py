@@ -17,8 +17,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .amplitude import _entangling_6d, _separable_6d
-from .observables import DIPOLE, Channel, KernelError
+from .amplitude import AmplitudeKind, _entangling_6d, _separable_6d
+from .observables import DIPOLE, INTEGRALS, Channel, KernelError, ratio_from_integrals
 from .quadrature import ConvergenceError, IntegralResult
 from .units import DomainError, ExperimentConfig, Reduction, Regime
 
@@ -247,38 +247,33 @@ def mc_enhancement_ratio(
     def accumulate(weights, ki, ks):
         f_sep, mag_i, mag_s = _separable_6d(ki, ks, cfg_eff)
         f_ent = f_sep * _entangling_6d(ki, ks, mag_i, mag_s, cfg_eff)
+        amplitudes = {AmplitudeKind.ENTANGLED: f_ent, AmplitudeKind.SEPARABLE: f_sep}
         obliquity = 2.0 if paraxial else ki[2] / mag_i + ks[2] / mag_s
-        # sums of [F_ent, F_ent^2, F_ent^2 w, F_sep, F_sep^2, F_sep^2 w]; the
-        # effective sample size is over the dominant positive accumulator,
+        # one expression per sum, so that numpy reuses its temporaries in place
+        sums = [np.sum(weights * amplitudes[kind] ** power * obliquity) if weighted
+                else np.sum(weights * amplitudes[kind] ** power)
+                for kind, power, weighted in INTEGRALS.values()]
+        # the effective sample size is over the dominant positive accumulator,
         # since F_sep^2 bounds every other integrand pointwise
-        sums = (
-            np.sum(weights * f_ent),
-            np.sum(weights * f_ent**2),
-            np.sum(weights * f_ent**2 * obliquity),
-            np.sum(weights * f_sep),
-            np.sum(weights * f_sep**2),
-            np.sum(weights * f_sep**2 * obliquity),
-        )
         return sums, np.abs(weights * f_sep**2)
 
     sums, ess, rejection, total_samples = _run_batches(
-        "mc_enhancement_ratio", cfg_eff, spec, 6, accumulate
+        "mc_enhancement_ratio", cfg_eff, spec, len(INTEGRALS), accumulate
     )
 
     def combine(t):
-        i1e, i2e, i2we, i1s, i2s, i2ws = (float(x) for x in t)
-        if min(i2e, i2we, i2s, i2ws) <= 0.0:
+        values = dict(zip(INTEGRALS, (float(x) for x in t)))
+        if min(value for name, value in values.items() if INTEGRALS[name][1] == 2) <= 0.0:
             return math.nan
         # R is invariant under joint rescaling of the sums, so raw batch
         # totals work without per-sample normalization
-        return math.sqrt(i2s / i2e) * (i1e**2 / i2we) / (i1s**2 / i2ws)
+        return ratio_from_integrals(values)[0].value
 
     ratio, sigma = _jackknife(sums, combine)
     if not math.isfinite(ratio):
         raise ConvergenceError("mc_enhancement_ratio produced a non-finite ratio")
 
     totals = sums.sum(axis=0) / total_samples
-    names = ("I1_ent", "I2_ent", "I2w_ent", "I1_sep", "I2_sep", "I2w_sep")
     return McRatioResult(
         R=ratio,
         sigma_R=sigma,
@@ -289,7 +284,7 @@ def mc_enhancement_ratio(
         effective_sample_size=ess,
         batches=len(sums),
         prng=PRNG_ID,
-        diagnostics={name: float(total) for name, total in zip(names, totals)},
+        diagnostics={name: float(total) for name, total in zip(INTEGRALS, totals)},
     )
 
 

@@ -313,12 +313,22 @@ def test_eval_amplitude_matches_reduced_at_filter_peaks():
 
 
 def test_eval_amplitude_accepts_triplets():
+    # tuple, list and 0-d array triplets give the same value; at (+-1, 0, kz)
+    # the pump sum vanishes and both photons sit on shell, so only the
+    # phase-matching sinc separates the two kinds
     cfg = ExperimentConfig()
     k0 = cfg.k0
     kz = math.sqrt(k0**2 - 1.0)
-    a = eval_amplitude((1.0, 0.0, kz), (-1.0, 0.0, kz), cfg, AmplitudeKind.SEPARABLE)
-    b = eval_amplitude((1.0, 0.0, kz), (-1.0, 0.0, kz), cfg, AmplitudeKind.SEPARABLE)
-    assert a == b
+    ki, ks = (1.0, 0.0, kz), (-1.0, 0.0, kz)
+    values = {}
+    for kind in AmplitudeKind:
+        values[kind] = eval_amplitude(ki, ks, cfg, kind)
+        for form in (list, lambda p: tuple(np.array(c) for c in p)):
+            assert eval_amplitude(form(ki), form(ks), cfg, kind) == values[kind]
+    ratio = values[AmplitudeKind.ENTANGLED] / values[AmplitudeKind.SEPARABLE]
+    phase = 0.5 * cfg.crystal_length_um * (2.0 * k0 - 2.0 * kz)
+    assert ratio == pytest.approx(float(sinc(phase)), rel=1e-12, abs=0.0)
+    assert 0.0 < ratio < 1.0
 
 
 def test_eval_amplitude_detuned_frequencies_attenuate():

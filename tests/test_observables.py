@@ -11,6 +11,7 @@ from qionize.amplitude import AmplitudeKind
 from qionize.observables import (
     DIPOLE,
     HEXADECAPOLE,
+    INTEGRALS,
     OCTUPOLE,
     QUADRUPOLE,
     Channel,
@@ -276,6 +277,76 @@ def test_ratio_eval_schedule_pin():
     assert evals == (187200, 336960, 336960, 187200, 336960, 336960)
 
 
+def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
+    # one integrate_2d call per integral, in INTEGRALS order, each result
+    # filed under its name; the benchmark's trace attributes calls this way
+    cfg = ExperimentConfig(pump_waist_um=10.0, crystal_length_um=1.0)
+    s = np.linspace(0.1, 1.5, 5)[:, None]
+    t = np.linspace(0.2, 1.4, 4)[None, :]
+    calls = []
+
+    def recording_integrate_2d(f, domain, spec=None, initial_panels=(2, 2)):
+        result = integrate_2d(f, domain, spec, initial_panels)
+        calls.append((f(s, t), result))
+        return result
+
+    monkeypatch.setattr(observables, "integrate_2d", recording_integrate_2d)
+    res = enhancement_ratio(cfg)
+    assert tuple(INTEGRALS) == INTEGRAL_NAMES
+    assert len(calls) == len(INTEGRALS)
+    for (values, result), (name, spec) in zip(calls, INTEGRALS.items()):
+        assert res.diagnostics[name] is result, name
+        expected = observables._reduced_integrand(cfg, *spec, None)(s, t)
+        np.testing.assert_array_equal(values, expected, err_msg=name)
+
+
+def test_views_equal_the_ratio_parts():
+    cfg = ExperimentConfig(pump_waist_um=10.0, crystal_length_um=1.0)
+    res = enhancement_ratio(cfg)
+    for kind, label in ((AmplitudeKind.ENTANGLED, "ent"), (AmplitudeKind.SEPARABLE, "sep")):
+        for view, part in ((normalization, "C"), (f_factor, "f"), (photon_flux, "phi")):
+            got = view(kind, cfg)
+            want = getattr(res, f"{part}_{label}")
+            assert got.value.hex() == want.value.hex(), (kind, part)
+            assert got.factor == want.factor, (kind, part)
+
+
+def test_convergence_errors_name_the_failed_integrals():
+    cfg = ExperimentConfig(
+        crystal_length_um=100.0, pump_waist_um=3.0, quadrature=QuadratureSpec(max_evals=2000)
+    )
+    res = enhancement_ratio(cfg, strict=False)
+    failed = [name for name in INTEGRALS if not res.diagnostics[name].converged]
+    assert failed
+    with pytest.raises(ConvergenceError, match=f"^integrals {', '.join(failed)} did not converge"):
+        enhancement_ratio(cfg)
+    for kind, label in ((AmplitudeKind.ENTANGLED, "ent"), (AmplitudeKind.SEPARABLE, "sep")):
+        for view, prefixes in (
+            (normalization, ("I2",)),
+            (photon_flux, ("I2", "I2w")),
+            (f_factor, ("I1", "I2w")),
+        ):
+            names = [f"{p}_{label}" for p in prefixes if f"{p}_{label}" in failed]
+            with pytest.raises(ConvergenceError, match=f"^integrals {', '.join(names)} did "):
+                view(kind, cfg)
+
+
+def test_ratio_refuses_subnormal_coherent_squares():
+    # I1_ent is about 38 / w at L = 1 um: from w near 1e156 um its square is
+    # subnormal and f = I1^2 / I2w loses precision, so R is refused there;
+    # below that R keeps its bits
+    cfg = ExperimentConfig(crystal_length_um=1.0, pump_waist_um=1e150)
+    assert enhancement_ratio(cfg).R.hex() == "0x1.21f9b4420301cp-1"
+    for waist in (1e156, 1e163, 4e163):
+        with pytest.raises(DomainError, match="pump_waist_um"):
+            enhancement_ratio(cfg.replace(pump_waist_um=waist))
+    values = dict.fromkeys(INTEGRALS, 1.0)
+    for name in ("I1_ent", "I1_sep"):
+        for tiny in (1e-155, 0.0):
+            with pytest.raises(DomainError, match="pump_waist_um"):
+                ratio_from_integrals({**values, name: tiny})
+
+
 # ---------------------------------------------------------------- folded quadrant
 
 FOLD_LENGTHS_UM = (0.01, 1.0, 100.0)
@@ -286,7 +357,6 @@ FOLD_WAISTS_UM = (1.0, 3.0, 10.0, 50.0, 100.0)
 def test_separable_integrals_match_closed_form(regime):
     # the separable amplitude depends on u alone, and the rhombus chord at u
     # is 2 (2 k0 - |u|) long, so I1_sep and I2_sep are 1D Gaussian moments
-    sep = AmplitudeKind.SEPARABLE
     for length in FOLD_LENGTHS_UM:
         for waist in FOLD_WAISTS_UM:
             cfg = ExperimentConfig(crystal_length_um=length, pump_waist_um=waist, regime=regime)
@@ -298,14 +368,15 @@ def test_separable_integrals_match_closed_form(regime):
                 1.0 - math.exp(-((w * umax) ** 2))
             )
             label = (regime.value, length, waist)
-            for power, truth in ((1, i1), (2, i2)):
-                res = observables._integrate_reduced(cfg, sep, power)
+            paraxial = regime is Regime.PARAXIAL
+            names = ("I1_sep", "I2_sep") + (("I2w_sep",) if paraxial else ())
+            results = observables._reduced_integrals(cfg, names)
+            for name, truth in (("I1_sep", i1), ("I2_sep", i2)):
+                res = results[name]
                 assert res.converged, label
                 assert abs(res.value - truth) <= res.error_estimate + 1e-14 * truth, label
-            if regime is Regime.PARAXIAL:
-                i2_res = observables._integrate_reduced(cfg, sep, 2)
-                i2w_res = observables._integrate_reduced(cfg, sep, 2, obliquity=True)
-                assert i2w_res.value == 2.0 * i2_res.value, label
+            if paraxial:
+                assert results["I2w_sep"].value == 2.0 * results["I2_sep"].value, label
 
 
 @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
@@ -388,14 +459,13 @@ def test_even_kernel_keeps_the_coherent_integral(shape):
     k0 = cfg.k0
     square = tuple(observables._ANGLE_DOMAIN)
     assert not isinstance(square, quadrature.EvenDomain)
-    for kind in (AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE):
+    panels = observables._initial_panels(cfg)
+    for kind, name in ((AmplitudeKind.ENTANGLED, "I1_ent"), (AmplitudeKind.SEPARABLE, "I1_sep")):
         f_raw = observables._reduced_integrand(
             cfg, kind, 1, False, lambda kix, ksx: raw.evaluate(kix, ksx, k0)
         )
-        whole = integrate_2d(f_raw, square, cfg.quadrature, observables._initial_panels(cfg))
-        folded = observables._integrate_reduced(
-            cfg, kind, 1, even_kernel=observables._even_kernel(raw, k0)
-        )
+        whole = integrate_2d(f_raw, square, cfg.quadrature, panels)
+        folded = observables._reduced_integrals(cfg, [name], raw)[name]
         assert folded.converged and whole.converged
         assert folded.value == pytest.approx(whole.value, rel=1e-12)
         assert 4 * folded.evals == whole.evals
@@ -403,7 +473,8 @@ def test_even_kernel_keeps_the_coherent_integral(shape):
         def exchange_only(kix, ksx):
             return 0.5 * (raw.evaluate(kix, ksx, k0) + raw.evaluate(ksx, kix, k0))
 
-        wrong = observables._integrate_reduced(cfg, kind, 1, even_kernel=exchange_only)
+        f_wrong = observables._reduced_integrand(cfg, kind, 1, False, exchange_only)
+        wrong = integrate_2d(f_wrong, observables._ANGLE_DOMAIN, cfg.quadrature, panels)
         assert abs(wrong.value / whole.value - 1.0) > 1e-6
 
 

@@ -194,6 +194,21 @@ def test_mc_estimators_regression_pin():
     )
 
 
+def test_mc_ratio_refuses_subnormal_coherent_squares(monkeypatch):
+    # the MC ratio maps its sums to R through ratio_from_integrals, so an I1
+    # total that squares below the normal range is the reduced path's
+    # DomainError; the sampler is stubbed to return such totals
+    sums = np.ones((10, 6))
+    sums[:, 0] = 1e-160
+
+    def fake_run_batches(op, cfg, spec, width, accumulate):
+        return sums, 1e6, 0.0, MIN_SAMPLES
+
+    monkeypatch.setattr(oracle, "_run_batches", fake_run_batches)
+    with pytest.raises(DomainError, match="pump_waist_um"):
+        mc_enhancement_ratio(CFG_6D, McSpec(samples=MIN_SAMPLES))
+
+
 @pytest.mark.parametrize("converged", [False, True])
 def test_unconverged_mc_ratio_never_agrees(converged, monkeypatch):
     # an ESS below MIN_ESS must veto agreement however close R lands

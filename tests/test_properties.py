@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from qionize.amplitude import AmplitudeKind
 from qionize.cli import main
+from qionize.oracle import MIN_SAMPLES
+from qionize.sweep import preset_names
 from qionize.units import (
     _FORMAT,
     _RETIRED,
@@ -146,6 +148,91 @@ def test_cli_amplitude_grid_property_exit_codes(flags, capsys):
         assert len(rows) == int(n) ** 2, argv
         cells = [float(cell) for row in rows for cell in row.split(",")]
         assert all(math.isfinite(cell) for cell in cells), argv
+
+
+# oracle-check: one config and 1e5 to 2e5 samples keep a valid run near a
+# second; rejected draws are counts below 1, samples below MIN_SAMPLES,
+# negative values and text that is not an int
+_ORACLE_VALID = (
+    st.just("1"),
+    st.integers(min_value=MIN_SAMPLES, max_value=2 * MIN_SAMPLES).map(str),
+    st.integers().map(str),
+)
+_ORACLE_REJECTED = (
+    st.integers(max_value=0).map(str),
+    st.integers(max_value=MIN_SAMPLES - 1).map(str),
+    st.integers(max_value=-1).map(str),
+)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    flags=st.tuples(*_ORACLE_VALID)
+    | st.tuples(
+        *(
+            valid | rejected | _MALFORMED
+            for valid, rejected in zip(_ORACLE_VALID, _ORACLE_REJECTED)
+        )
+    )
+)
+# argparse stores [] for a flag value of "--"
+@example(flags=("--", "100000", "0"))
+@example(flags=("1", "--", "0"))
+def test_cli_oracle_check_property_exit_codes(flags, capsys):
+    configs, samples, seed = flags
+    argv = ["oracle-check", f"--configs={configs}", f"--samples={samples}", f"--seed={seed}"]
+    code, _, err = _run_cli(argv, capsys)
+    _assert_exit_contract(code, err, argv)
+
+
+_FORMATS = ("csv", "jsonl", "both")
+
+
+def _sweep_would_run(preset, out, fmt, workers):
+    # argparse reads --workers with int(); a run of a whole preset is
+    # 1250 ratios, so the draws below keep only flag sets the CLI rejects
+    try:
+        workers_ok = workers is None or int(workers) >= 1
+    except ValueError:
+        workers_ok = False
+    return preset in preset_names() and out and fmt in _FORMATS and workers_ok
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    flags=st.tuples(
+        st.sampled_from(preset_names()) | st.sampled_from(["fig2z", "FIG2A"]) | _MALFORMED,
+        st.booleans(),
+        st.sampled_from(_FORMATS) | st.sampled_from(["xml", "CSV"]) | _MALFORMED,
+        st.none()
+        | st.integers(min_value=1, max_value=4).map(str)
+        | st.integers(max_value=0).map(str)
+        | _MALFORMED,
+    ).filter(lambda flags: not _sweep_would_run(*flags))
+)
+@example(flags=("fig2c", True, "csv", "--"))
+def test_cli_sweep_property_rejects_bad_flags(flags, tmp_path, capsys):
+    preset, with_out, fmt, workers = flags
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", f"--preset={preset}", f"--format={fmt}"]
+    argv += [f"--out={out}"] if with_out else []
+    argv += [f"--workers={workers}"] if workers is not None else []
+    code, _, err = _run_cli(argv, capsys)
+    _assert_exit_contract(code, err, argv)
+    assert code == 1, argv
+    assert not out.exists(), argv
 
 
 _KEYS = sorted(_FORMAT) + sorted(_RETIRED)

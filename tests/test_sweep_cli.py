@@ -276,6 +276,17 @@ def test_cli_rejects_non_finite_inputs(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("waist", ["4e163", "1e163"])
+def test_cli_ratio_refuses_waists_beyond_double_precision(waist, capsys):
+    # I1^2 is subnormal at 1e163 and zero at 4e163: f = I1^2 / I2w has no
+    # correct digits there
+    assert main(["ratio", "--length", "1", "--pump-waist", waist]) == 1
+    out, err = capsys.readouterr()
+    assert "pump_waist_um" in err
+    assert "Traceback" not in err
+    assert "R = " not in out
+
+
 def test_cli_rejects_unknown_regime(capsys):
     assert main(["ratio", "--regime", "bogus"]) == 1
     assert "error" in capsys.readouterr().err
