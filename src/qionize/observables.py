@@ -354,20 +354,17 @@ _HALF_PI = 0.5 * math.pi
 _ANGLE_DOMAIN = EvenDomain(((-_HALF_PI, _HALF_PI), (-_HALF_PI, _HALF_PI)))
 
 
-def _initial_panels(cfg: ExperimentConfig) -> Tuple[int, int]:
+def _initial_panels(cfg: ExperimentConfig) -> Tuple[float, float]:
     # the phase-matching argument reaches L*k0/2 along s; along t it only
     # varies through the exact dispersion's curvature in u, roughly
     # L*umax^2/(4 k0). Start with a few oscillations per 16-point panel and
-    # let per-axis refinement and freezing take it from there.
-    k0 = cfg.k0
-    length = cfg.crystal_length_um
-    n_s = int(np.clip(4 + math.ceil(length * k0 / 5.0), 8, 6000))
+    # let per-axis refinement and freezing take it from there. Whole Python
+    # floats, inf past overflow: integrate_2d prices them against max_evals.
+    k0, length, umax = float(cfg.k0), float(cfg.crystal_length_um), float(_umax(cfg))
+    n_s = max(8.0, 4.0 + float(np.ceil(length * k0 / 5.0)))
     if cfg.regime is Regime.PARAXIAL:
-        n_t = 2
-    else:
-        phase_t = length * _umax(cfg) ** 2 / (4.0 * k0)
-        n_t = int(np.clip(2 + math.ceil(phase_t / 12.0), 2, 2000))
-    return (n_s, n_t)
+        return (n_s, 2.0)
+    return (n_s, 2.0 + float(np.ceil(length * umax * umax / (4.0 * k0) / 12.0)))
 
 
 def _reduced_integrals(

@@ -40,6 +40,8 @@ PRNG_ID = "numpy-philox4x64/seedseq-per-batch"
 _PUMP_PROPOSAL_WIDTH = 1.2
 
 MIN_SAMPLES = 100_000
+# samples per batch past ten batches: the count grows, so no batch holds 2x more
+_BATCH_SAMPLES = 500_000
 # fewest effective samples for either estimator to report converged
 MIN_ESS = 100.0
 # smallest |R_reduced / R_full - 1| that reduced_vs_full_check tolerates;
@@ -57,6 +59,8 @@ class McSpec:
     def __post_init__(self) -> None:
         if int(self.samples) < MIN_SAMPLES:
             raise DomainError(f"samples must be >= {MIN_SAMPLES}, got {self.samples!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,8 @@ class McRatioResult:
     diagnostics: Dict[str, float]
 
 
-def _batch_sizes(total: int, target: int = 500_000) -> Tuple[int, ...]:
-    count = max(10, min(40, total // max(1, target)))
+def _batch_sizes(total: int) -> Tuple[int, ...]:
+    count = max(10, total // _BATCH_SAMPLES)
     base = total // count
     extra = total % count
     return tuple(base + 1 if i < extra else base for i in range(count))

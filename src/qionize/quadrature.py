@@ -4,22 +4,23 @@ One rule: a panelized 16-point Gauss-Legendre product rule, refined by
 doubling the panel count of whichever axis contributes the larger
 last-doubling delta. The caller hints a starting resolution per axis.
 
-The rule is open (no endpoint evaluations), fully deterministic, and
-accounts every integrand evaluation toward max_evals. A caller that passes
-an EvenDomain promises the integrand is even about the centre of each axis;
-the rule then evaluates only the upper half of each axis's nodes, one
-quadrant of the grid at twice the weight, with the panels, refinement and
-error estimate of the plain rectangle. evals and max_evals count the nodes
-actually evaluated. A tensor grid is never
-built whole: the integrand is called on row blocks of it, about BLOCK_NODES
-nodes each, and each block is reduced before the next is evaluated.
-Integrands must therefore be pointwise (a node's value depends on its own
-(x, y) only) and broadcast: f(x_blk[:, None], y[None, :]) ->
+The rule is open (no endpoint evaluations) and fully deterministic, and
+max_evals is the one bound on its work: it never starts a refinement round
+the budget cannot pay for. A caller that passes an EvenDomain promises the
+integrand is even about the centre of each axis; the rule then evaluates
+only the upper half of each axis's nodes, one quadrant of the grid at twice
+the weight, with the panels, refinement and error estimate of the plain
+rectangle. evals and max_evals count the nodes actually evaluated. A tensor
+grid is never built whole: the integrand is called on row blocks of it,
+about BLOCK_NODES nodes each, and each block is reduced before the next is
+evaluated. Integrands must therefore be pointwise (a node's value depends
+on its own (x, y) only) and broadcast: f(x_blk[:, None], y[None, :]) ->
 (len(x_blk), len(y)) array, x_blk a run of consecutive x nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -58,10 +59,10 @@ class EvenDomain(tuple):
 class IntegralResult:
     """Outcome of one integration.
 
-    converged is True exactly when
-    error_estimate <= max(rel_tol * |value|, abs_tol) was reached within the
-    evaluation budget; a False flag is the caller's signal to escalate, never
-    silently absorbed here.
+    converged is True exactly when error_estimate <= max(rel_tol * |value|,
+    abs_tol) was reached; evals never exceed max_evals, and a start the
+    budget cannot pay for is refused as (nan, inf, 0, False). A False flag
+    is the caller's signal to escalate, never silently absorbed here.
     """
 
     value: float
@@ -136,10 +137,7 @@ def _tensor_eval(f, x0, x1, y0, y1, nx, ny, nodes, weights, even=False):
 
 
 def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels, even):
-    nx, ny = initial_panels
-    nx = max(2, int(nx))
-    ny = max(2, int(ny))
-    evals = 0
+    nx, ny = (max(2, n) for n in initial_panels)
     max_evals = int(spec.max_evals)
     # evaluated nodes per pair of x and y panels: 16 x 16, or one quadrant
     panel_evals = 64 if even else 256
@@ -147,15 +145,21 @@ def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels, even)
     def grid(nx, ny):
         return _tensor_eval(f, x0, x1, y0, y1, nx, ny, _GL16_X, _GL16_W, even)
 
-    value, n = grid(nx, ny)
-    evals += n
     # an axis whose doubling delta falls far below tolerance is frozen: its
     # last delta keeps counting toward the error but costs no more doublings
-    err_x = None
-    err_y = None
-    frozen_x = False
-    frozen_y = False
+    frozen_x = frozen_y = False
+    best, err, evals = math.nan, math.inf, 0
     while True:
+        # a round doubles each unfrozen axis once, the first also running the
+        # base grid; it is priced in Python numbers (a hinted count may be
+        # inf) before any int() or grid
+        unfrozen = (not frozen_x) + (not frozen_y)
+        cost = ((evals == 0) + 2 * unfrozen) * panel_evals * nx * ny
+        if evals + cost > max_evals:
+            return IntegralResult(best, err, evals, False, "tensor_gauss")
+        if evals == 0:
+            nx, ny = int(nx), int(ny)
+            value, evals = grid(nx, ny)
         if not frozen_x:
             value_x2, n = grid(2 * nx, ny)
             evals += n
@@ -175,10 +179,7 @@ def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels, even)
         err = err_x + err_y
         tol = max(spec.rel_tol * abs(best), spec.abs_tol)
         if err <= tol:
-            # base grid + first doubling run before any budget check, so a
-            # tiny budget can be overdrawn here; converged promises both
-            # tolerance and budget, never just tolerance
-            return IntegralResult(best, err, evals, evals <= max_evals, "tensor_gauss")
+            return IntegralResult(best, err, evals, True, "tensor_gauss")
         frozen_x = frozen_x or err_x <= 0.05 * tol
         frozen_y = frozen_y or err_y <= 0.05 * tol
         if not frozen_x and (frozen_y or err_x >= err_y):
@@ -189,11 +190,6 @@ def _tensor_gauss(f, x0, x1, y0, y1, spec: QuadratureSpec, initial_panels, even)
             value = value_y2
         else:
             # both frozen yet err > tol: deltas stalled above tolerance
-            return IntegralResult(best, err, evals, False, "tensor_gauss")
-        # the next round doubles each unfrozen axis of the new grid once;
-        # stop if the budget cannot pay rather than overdraw it
-        unfrozen = (not frozen_x) + (not frozen_y)
-        if evals + unfrozen * 2 * panel_evals * nx * ny > max_evals:
             return IntegralResult(best, err, evals, False, "tensor_gauss")
 
 
@@ -211,9 +207,9 @@ def integrate_2d(
     (len(x_blk), len(y)) array of values, each depending only on its own
     node. f may reuse internal buffers from call to call, but each call
     must return a fresh array, since a caller may keep an earlier call's
-    result. initial_panels is a performance hint (starting resolution per
-    axis); it never changes what converged means, only how fast the rule
-    gets there. Identical inputs produce bit-identical results.
+    result. initial_panels is a performance hint (starting panel count per
+    axis, whole or inf); it never changes what converged means, only how
+    fast the rule gets there. Identical inputs produce bit-identical results.
 
     An EvenDomain promises f(x0 + x1 - x, y) = f(x, y) = f(x, y0 + y1 - y);
     f is then called only on nodes at or above both centres, and evals and

@@ -262,9 +262,15 @@ def test_strict_raises_on_budget_exhaustion():
     )
     with pytest.raises(ConvergenceError):
         enhancement_ratio(cfg)
+    # the base grid alone is 98,560 nodes: every integral is refused before
+    # it starts, and the non-strict result carries R = nan like a failed
+    # sweep row
     res = enhancement_ratio(cfg, strict=False)
     assert not res.converged
-    assert np.isfinite(res.R)
+    assert math.isnan(res.R)
+    assert math.isnan(res.err_R)
+    for name in INTEGRALS:
+        assert res.diagnostics[name].evals == 0
 
 
 def test_ratio_eval_schedule_pin():

@@ -30,6 +30,24 @@ def test_mc_spec_validation():
     assert MIN_SAMPLES == 100_000
     with pytest.raises(DomainError):
         McSpec(samples=MIN_SAMPLES - 1)
+    for seed in (-5, 1.5, "3"):
+        with pytest.raises(DomainError, match="seed"):
+            McSpec(seed=seed)
+    assert McSpec(seed=np.int64(7)).seed == 7
+
+
+def test_batch_sizes_stay_bounded_and_keep_small_runs():
+    # up to 2e7 samples the count is what it always was, 10 to 40 batches,
+    # so those runs keep their batch boundaries and PRNG streams
+    for total, count in ((MIN_SAMPLES, 10), (10**6, 10), (10**7, 20), (2 * 10**7 + 499_999, 40)):
+        assert len(oracle._batch_sizes(total)) == count, total
+    # above that the count grows instead of the batches
+    for total in (4 * 10**7, 10**9):
+        sizes = oracle._batch_sizes(total)
+        assert sum(sizes) == total
+        assert max(sizes) <= 2 * 500_000
+        assert max(sizes) - min(sizes) <= 1
+    assert len(oracle._batch_sizes(4 * 10**7)) == 80
 
 
 def test_mc_integral_result_fields():

@@ -19,20 +19,25 @@ from qionize.units import (
     _FORMAT,
     _RETIRED,
     ConfigError,
+    ExperimentConfig,
     Reduction,
     Regime,
     dump_config,
     load_config,
 )
 
-# flag values for `qionize ratio`: ones the model accepts (finite lengths at
-# or below 100 um, where the budget check comes early), floats it must
-# reject, and text that is not a float
+# any positive finite length, overflowing phases included
+_ANY_LENGTH = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
+# flag values for `qionize ratio` and `flux`: ones the model accepts (lengths
+# up to 100 um, where runs converge, or any finite length, where the budget
+# refuses an unaffordable first round at once), floats it must reject, and
+# text that is not a float
 _VALID = (
-    st.floats(min_value=0.0, max_value=100.0, exclude_min=True).map(repr),
+    st.floats(min_value=0.0, max_value=100.0, exclude_min=True).map(repr) | _ANY_LENGTH,
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
     st.sampled_from([r.value for r in Regime]),
 )
+_DEFAULT_WAIST = repr(ExperimentConfig().pump_waist_um)
 _REJECTED = st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "1e400"])
 _MALFORMED = st.sampled_from(["", " ", "abc", "1,5", "--", "-h", "0x1p3", "1e"]) | st.text(
     max_size=6
@@ -73,6 +78,9 @@ def _assert_exit_contract(code, err, argv):
 )
 # I1^2 underflows to 0 in R's formula at this waist
 @example(flags=("1.0", "6.066924617790604e+163", "exact"))
+# the starting panel counts overflow to inf
+@example(flags=("1.7e308", _DEFAULT_WAIST, "exact"))
+@example(flags=("1e306", "0.1", "exact"))
 def test_cli_ratio_property_exit_codes(flags, tmp_path, capsys):
     # any flag values give exit 0, 1 or 2 and a message, never a traceback
     path = tmp_path / "budget.cfg"
@@ -98,6 +106,8 @@ _KINDS = st.sampled_from([k.value for k in AmplitudeKind])
     flags=st.tuples(*_VALID, _KINDS)
     | st.tuples(*(valid | _REJECTED | _MALFORMED for valid in _VALID), _KINDS | _MALFORMED)
 )
+@example(flags=("1.7e308", _DEFAULT_WAIST, "exact", "separable"))
+@example(flags=("1e306", "0.1", "exact", "entangled"))
 def test_cli_flux_property_exit_codes(flags, tmp_path, capsys):
     path = tmp_path / "budget.cfg"
     path.write_text("quadrature.max_evals = 100000\n")
@@ -108,9 +118,8 @@ def test_cli_flux_property_exit_codes(flags, tmp_path, capsys):
     _assert_exit_contract(code, err, argv)
 
 
-# amplitude-grid runs no quadrature, so any positive finite length is fair;
-# --n stays small: 2 to 6 points per axis, below-minimum counts or bad text
-_ANY_LENGTH = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
+# amplitude-grid runs no quadrature; --n stays small: 2 to 6 points per
+# axis, below-minimum counts or bad text
 _GRID_N = st.integers(min_value=2, max_value=6).map(str)
 _BAD_N = st.sampled_from(["1", "0", "-1"]) | _MALFORMED
 

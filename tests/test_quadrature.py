@@ -1,6 +1,7 @@
 """Deterministic 2D quadrature: exactness, invariants, and failure reporting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,39 @@ def test_budget_exhaustion_reports_not_converged():
         spec,
     )
     assert res.converged is False
+
+
+def test_first_round_is_priced_before_it_runs():
+    # a plain (2, 2) start: the base grid and one doubling of each axis,
+    # (1 + 2 + 2) * 256 * 2 * 2 = 5120 nodes
+    calls = []
+
+    def f(x, y):
+        calls.append(x.size * y.size)
+        return np.cos(x) * np.cos(y)
+
+    box = ((0.0, 1.0), (0.0, 1.0))
+    refused = integrate_2d(f, box, QuadratureSpec(max_evals=5119))
+    assert math.isnan(refused.value)
+    assert (refused.error_estimate, refused.evals, refused.converged) == (math.inf, 0, False)
+    assert calls == []
+    ran = integrate_2d(f, box, QuadratureSpec(max_evals=5120))
+    assert ran.converged
+    assert ran.evals == sum(calls) == 5120
+
+
+@pytest.mark.parametrize("initial_panels", [(math.inf, 2), (1e300, 1e300), (2, 1e200)])
+def test_unaffordable_start_is_refused_without_overflow(initial_panels):
+    # an overflowing phase estimate hints inf or huge counts: the price is
+    # taken in Python numbers, so no int(inf), no array and no warning
+    def f(x, y):
+        raise AssertionError("the integrand must not be called")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_2d(f, ((0.0, 1.0), (0.0, 1.0)), TIGHT, initial_panels)
+    assert math.isnan(res.value)
+    assert (res.error_estimate, res.evals, res.converged) == (math.inf, 0, False)
 
 
 @pytest.mark.parametrize("max_evals", [50_000, 100_000, 200_000])

@@ -6,6 +6,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 import qionize
 from qionize.cli import main
-from qionize.observables import enhancement_ratio
+from qionize.observables import INTEGRALS, enhancement_ratio
 from qionize.sweep import (
     AXIS_NAMES,
     CSV_COLUMNS,
@@ -27,6 +29,8 @@ from qionize.sweep import (
     write_jsonl,
 )
 from qionize.units import ConfigError, ExperimentConfig, Regime
+
+ALL_INTEGRALS = list(INTEGRALS)
 
 
 # ---------------------------------------------------------------- plan validation
@@ -285,6 +289,39 @@ def test_cli_ratio_refuses_waists_beyond_double_precision(waist, capsys):
     assert "pump_waist_um" in err
     assert "Traceback" not in err
     assert "R = " not in out
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["ratio", "--length", "1.7e308"], ALL_INTEGRALS),
+        (["ratio", "--length", "1e306", "--pump-waist", "0.1"], ALL_INTEGRALS),
+        (["ratio", "--length", "1e300"], ALL_INTEGRALS),
+        (["flux", "--length", "1.7e308"], ["I2_sep", "I2w_sep"]),
+    ],
+)
+def test_cli_refuses_unaffordable_lengths_at_once(argv, names, capsys):
+    # the starting panels overflow or far exceed max_evals: each integral is
+    # refused before its first round, so the run exits 2 within seconds
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+    assert err.split("integrals ", 1)[1].split(" did not converge")[0] == ", ".join(names)
+    assert "evals=0" in err
+    assert elapsed < 5.0
+
+
+def test_cli_oracle_check_rejects_negative_seed(capsys):
+    assert main(["oracle-check", "--configs", "1", "--samples", "100000", "--seed=-5"]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -5" in err
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_unknown_regime(capsys):
