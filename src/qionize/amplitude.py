@@ -102,24 +102,19 @@ def delta_kz_exact(kix: ArrayLike, ksx: ArrayLike, k0: float) -> ArrayLike:
 def delta_kz_paraxial(kix: ArrayLike, ksx: ArrayLike, k0: float) -> ArrayLike:
     """Quadratic transverse expansion of the longitudinal mismatch.
 
-    Per-photon terms kx^2/(2 k0) minus the pump term (kix+ksx)^2/(4 k0);
-    algebraically (kix - ksx)^2 / (4 k0).
+    Per-photon terms kx^2/(2 k0) minus the pump term (kix+ksx)^2/(4 k0),
+    algebraically (kix - ksx)^2 / (4 k0) and evaluated in that form, so
+    nothing cancels.
     """
     if not k0 > 0.0:
         raise DomainError(f"k0 must be > 0, got {k0!r}")
-    kix_arr = np.asarray(kix, dtype=float)
-    ksx_arr = np.asarray(ksx, dtype=float)
-    shape = np.broadcast_shapes(kix_arr.shape, ksx_arr.shape)
-    value = _paraxial_mismatch(kix_arr, ksx_arr, k0, np.empty(shape), np.empty(shape))
+    value = _paraxial_mismatch(np.asarray(kix, dtype=float) - np.asarray(ksx, dtype=float), k0)
     return _maybe_scalar(value, kix, ksx)
 
 
-def _paraxial_mismatch(kix, ksx, k0: float, out, tmp):
-    # kix^2/(2 k0) + ksx^2/(2 k0) - (kix + ksx)^2/(4 k0), written into out
-    np.divide(np.square(kix, out=out), 2.0 * k0, out=out)
-    np.add(out, np.divide(np.square(ksx, out=tmp), 2.0 * k0, out=tmp), out=out)
-    np.square(np.add(kix, ksx, out=tmp), out=tmp)
-    return np.subtract(out, np.divide(tmp, 4.0 * k0, out=tmp), out=out)
+def _paraxial_mismatch(v, k0: float):
+    """(kix - ksx)^2 / (4 k0) at the difference coordinate v = kix - ksx."""
+    return np.square(v) / (4.0 * k0)
 
 
 def _kz_sum(kix, ksx, k0: float, out, tmp):
@@ -263,36 +258,44 @@ def eval_reduced(point, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike
     if np.any(np.abs(kix_arr) >= k0) or np.any(np.abs(ksx_arr) >= k0):
         raise DomainError("eval_reduced requires |kx| < k0 for each photon (open square)")
 
+    # the paraxial mismatch reads the difference only, the exact one each photon
+    v = kix_arr - ksx_arr if cfg.regime is Regime.PARAXIAL else None
     with np.errstate(over="ignore"):
-        value = _reduced_amplitude(kix_arr + ksx_arr, kix_arr, ksx_arr, cfg, kind)
+        value = _reduced_amplitude(kix_arr + ksx_arr, v, (kix_arr, ksx_arr), cfg, kind)
     return _maybe_scalar(value, kix, ksx)
 
 
-def _reduced_amplitude(u, kix, ksx, cfg: ExperimentConfig, kind: AmplitudeKind, work=None):
-    """Unchecked reduced amplitude at pump sum u = kix + ksx.
+def _reduced_amplitude(u, v, kx, cfg: ExperimentConfig, kind: AmplitudeKind, work=None):
+    """Unchecked reduced amplitude at pump sum u and difference v = kix - ksx.
 
-    Callers that parametrize the plane by u pass it directly rather than
-    the rounded sum of kix and ksx. The exact mismatch clamps its roots at
-    the kinematic edge, where the amplitude's sinc argument stays finite.
+    Callers that parametrize the plane by (u, v) pass them directly rather
+    than the rounded sum and difference of kix and ksx. Each factor is
+    computed on the shape of what it reads: the pump envelope on u's, the
+    paraxial phase matching on v's (a column when v is one), broadcast into
+    the value. v is read only by a paraxial entangled call and kx, the
+    (kix, ksx) pair, only by an exact entangled one; either may be None
+    where it is not read. The exact mismatch clamps its roots at the
+    kinematic edge, where the amplitude's sinc argument stays finite.
 
-    work, if given, is four float arrays of the broadcast shape of u, kix
-    and ksx, none of them an input: the value is written into work[0] and
+    work, if given, is four float arrays of the broadcast shape of the
+    inputs, none of them an input: the value is written into work[0] and
     returned, the rest is scratch, and an exact entangled call leaves
     kiz + ksz in work[1]. Without it the call allocates its own.
     """
     if work is None:
-        shape = np.broadcast_shapes(np.shape(u), np.shape(kix), np.shape(ksx))
-        work = [np.empty(shape) for _ in range(4)]
+        shapes = [np.shape(u), np.shape(v), *(np.shape(k) for k in kx or ())]
+        work = [np.empty(np.broadcast_shapes(*shapes)) for _ in range(4)]
     value, a, b, c = work
     # exp(-0.5 * (omega_p u)^2), one in-place step at a time
     np.square(np.multiply(u, cfg.pump_waist_um, out=value), out=value)
     np.exp(np.multiply(value, -0.5, out=value), out=value)
     if kind is AmplitudeKind.ENTANGLED:
-        k0 = cfg.k0
+        half_length = 0.5 * cfg.crystal_length_um
         if cfg.regime is Regime.PARAXIAL:
-            mismatch = _paraxial_mismatch(kix, ksx, k0, b, c)
+            np.multiply(value, sinc(_paraxial_mismatch(v, cfg.k0) * half_length), out=value)
         else:
-            mismatch = _exact_mismatch(u, kix, ksx, k0, b, a)
-        np.multiply(mismatch, 0.5 * cfg.crystal_length_um, out=mismatch)
-        np.multiply(value, sinc(mismatch, out=c), out=value)
+            kix, ksx = kx
+            mismatch = _exact_mismatch(u, kix, ksx, cfg.k0, b, a)
+            np.multiply(mismatch, half_length, out=mismatch)
+            np.multiply(value, sinc(mismatch, out=c), out=value)
     return value

@@ -14,13 +14,14 @@ from __future__ import annotations
 import enum
 import math
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .amplitude import AmplitudeKind, _kz_sum, _reduced_amplitude, check_narrowband_guard
-from .quadrature import ConvergenceError, EvenDomain, IntegralResult, integrate_2d
+from .quadrature import BLOCK_NODES, ConvergenceError, EvenDomain, IntegralResult, integrate_2d
 from .units import C_UM_PER_S, DEFAULT_CHANNEL_ENERGY_EV, DomainError, ExperimentConfig, Regime
 
 __all__ = [
@@ -43,6 +44,36 @@ __all__ = [
     "ratio_from_integrals",
     "enhancement_ratio",
 ]
+
+
+class _Workspace(threading.local):
+    """Block-sized float64 rows that every reduced integrand and kernel call works in.
+
+    rows(shape, first, count) gives rows first to first + count - 1 of one
+    slab, each viewed as a float array of shape and valid until the next
+    call that asks for the same rows. The slab holds BLOCK_NODES nodes per
+    row from the start and grows only for a larger block; earlier views
+    then keep the old slab alive. Each thread has its own slab.
+    """
+
+    def __init__(self) -> None:
+        self.slab = np.empty((_WORKSPACE_ROWS, 0))
+
+    def rows(self, shape, first: int, count: int) -> List[np.ndarray]:
+        size = math.prod(shape)
+        if size > self.slab.shape[1]:
+            self.slab = np.empty((_WORKSPACE_ROWS, max(size, BLOCK_NODES)))
+        return [row[:size].reshape(shape) for row in self.slab[first : first + count]]
+
+
+# (first row, row count) of each user of the workspace: the integrand's
+# u, jac_u, kix, ksx and _reduced_amplitude's four arrays, the averaged
+# kernel's two results, and TabulatedKernel.evaluate's scratch
+_INTEGRAND_ROWS = (0, 8)
+_EVEN_KERNEL_ROWS = (8, 2)
+_KERNEL_SCRATCH = (10, 6)
+_WORKSPACE_ROWS = 16
+_WORKSPACE = _Workspace()
 
 
 class KernelError(ValueError):
@@ -72,35 +103,58 @@ class TabulatedKernel:
             raise KernelError(f"kernel grid must be at least 2x2, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise KernelError("kernel grid contains non-finite values")
-        object.__setattr__(self, "values", arr)
+        # C order, so values.ravel() is a view
+        object.__setattr__(self, "values", np.ascontiguousarray(arr))
 
-    def evaluate(self, kix, ksx, k0: float):
-        """Bilinear interpolation at (kix, ksx) for central wavenumber k0."""
+    def evaluate(self, kix, ksx, k0: float, out: Optional[np.ndarray] = None):
+        """Bilinear interpolation at (kix, ksx) for central wavenumber k0.
+
+        out, a float array of the broadcast shape of kix and ksx other than
+        either of them, receives the values and is returned; the call then
+        takes its scratch from the module workspace (see _Workspace) and
+        allocates nothing of that shape. Without out a scalar pair gives a
+        float.
+        """
         if not k0 > 0.0:
             raise DomainError(f"k0 must be > 0, got {k0!r}")
-        ti = np.clip(np.asarray(kix, dtype=float) / k0, -1.0, 1.0)
-        ts = np.clip(np.asarray(ksx, dtype=float) / k0, -1.0, 1.0)
+        kix_arr = np.asarray(kix, dtype=float)
+        ksx_arr = np.asarray(ksx, dtype=float)
+        shape = np.broadcast_shapes(kix_arr.shape, ksx_arr.shape)
+        if out is None:
+            value = np.empty(shape)
+            scratch = [np.empty(shape) for _ in range(_KERNEL_SCRATCH[1])]
+        else:
+            value = out
+            scratch = _WORKSPACE.rows(shape, *_KERNEL_SCRATCH)
+        self._interpolate(kix_arr, ksx_arr, k0, value, scratch)
+        if out is None and np.ndim(kix) == 0 and np.ndim(ksx) == 0:
+            return float(value)
+        return value
+
+    def _interpolate(self, kix, ksx, k0: float, value, scratch) -> None:
+        # the whole-array formula v00 (1 - fi)(1 - fs) + v10 fi (1 - fs)
+        # + v01 (1 - fi) fs + v11 fi fs, one in-place step at a time in its
+        # operation order; table entries come from the flat table by index
         ni, ns = self.values.shape
-        # cell index and offset along each axis
-        pos_i = (ti + 1.0) * 0.5 * (ni - 1)
-        pos_s = (ts + 1.0) * 0.5 * (ns - 1)
-        idx_i = np.clip(pos_i.astype(int), 0, ni - 2)
-        idx_s = np.clip(pos_s.astype(int), 0, ns - 2)
-        fi = pos_i - idx_i
-        fs = pos_s - idx_s
-        v00 = self.values[idx_i, idx_s]
-        v10 = self.values[idx_i + 1, idx_s]
-        v01 = self.values[idx_i, idx_s + 1]
-        v11 = self.values[idx_i + 1, idx_s + 1]
-        out = (
-            v00 * (1 - fi) * (1 - fs)
-            + v10 * fi * (1 - fs)
-            + v01 * (1 - fi) * fs
-            + v11 * fi * fs
-        )
-        if np.ndim(kix) == 0 and np.ndim(ksx) == 0:
-            return float(out)
-        return out
+        fi, fs, cell, cell_s, gi, term = scratch
+        idx, idx_s = cell.view(np.int64), cell_s.view(np.int64)
+        for kx, pos, n, index in ((kix, fi, ni, idx), (ksx, fs, ns, idx_s)):
+            # clipped normalized coordinate, its cell index and offset
+            np.clip(np.divide(kx, k0, out=pos), -1.0, 1.0, out=pos)
+            np.multiply(np.multiply(np.add(pos, 1.0, out=pos), 0.5, out=pos), n - 1, out=pos)
+            np.copyto(index, pos, casting="unsafe")
+            np.clip(index, 0, n - 2, out=index)
+            np.subtract(pos, index, out=pos)
+        np.add(np.multiply(idx, ns, out=idx), idx_s, out=idx)
+        gs = cell_s  # 1 - fs, once the column index is spent
+        table = self.values.ravel()
+        np.take(table, idx, out=value, mode="clip")
+        np.subtract(1, fi, out=gi)
+        np.subtract(1, fs, out=gs)
+        np.multiply(np.multiply(value, gi, out=value), gs, out=value)
+        for step, a, b in ((ns, fi, gs), (1 - ns, gi, fs), (ns, fi, fs)):
+            np.take(table, np.add(idx, step, out=idx), out=term, mode="clip")
+            np.add(value, np.multiply(np.multiply(term, a, out=term), b, out=term), out=value)
 
 
 def load_kernel(path: str, name: Optional[str] = None) -> TabulatedKernel:
@@ -270,15 +324,24 @@ def _even_kernel(kernel: TabulatedKernel, k0: float) -> Callable:
     average leaves the integral of F K over the square unchanged and makes
     the integrand even in s and in t. On a square table the average is one
     table: bilinear interpolation on the uniform grid through +-1 commutes
-    with transposing and reversing it.
+    with transposing and reversing it. The returned callable writes into
+    workspace rows, valid until its next call.
     """
     v = kernel.values + kernel.values[::-1, ::-1]
-    if v.shape[0] == v.shape[1]:
-        table = TabulatedKernel(kernel.name, 0.25 * (v + v.T))
-        return lambda kix, ksx: table.evaluate(kix, ksx, k0)
+    square = v.shape[0] == v.shape[1]
     # a non-square table's transpose lies on another grid: exchange on the fly
-    table = TabulatedKernel(kernel.name, 0.5 * v)
-    return lambda kix, ksx: 0.5 * (table.evaluate(kix, ksx, k0) + table.evaluate(ksx, kix, k0))
+    table = TabulatedKernel(kernel.name, 0.25 * (v + v.T) if square else 0.5 * v)
+
+    def even(kix, ksx):
+        shape = np.broadcast_shapes(np.shape(kix), np.shape(ksx))
+        a, b = _WORKSPACE.rows(shape, *_EVEN_KERNEL_ROWS)
+        table.evaluate(kix, ksx, k0, out=a)
+        if not square:
+            table.evaluate(ksx, kix, k0, out=b)
+            np.multiply(np.add(a, b, out=a), 0.5, out=a)
+        return a
+
+    return even
 
 
 def _reduced_integrand(
@@ -304,34 +367,31 @@ def _reduced_integrand(
     invariant under both, so the integrand is even in s and in t as long as
     even_kernel is (see _even_kernel); _ANGLE_DOMAIN relies on that.
 
-    A call works in place in block-sized buffers that the integrand keeps
-    for its lifetime, and returns a fresh array: integrate_2d's row blocks
-    then cost one allocation each, not a few dozen.
+    A call works in place in the module workspace and returns a fresh
+    array: integrate_2d's row blocks then cost one allocation each, not a
+    few dozen. Each factor is computed where it varies: the paraxial phase
+    matching once per row, kix and ksx only when the exact mismatch, the
+    exact obliquity or a kernel reads them.
     """
     k0 = cfg.k0
     two_k0 = 2.0 * k0
     paraxial = cfg.regime is Regime.PARAXIAL
     entangled = kind is AmplitudeKind.ENTANGLED
+    reads_kx = even_kernel is not None or (not paraxial and (entangled or obliquity))
     umax = _umax(cfg)
-    # rows of one slab hold u, jac_u, kix, ksx and _reduced_amplitude's four
-    # arrays; it grows only for a block with more nodes than any before it.
-    # One slab rather than eight arrays halved a ratio panel's page faults.
-    slab = [np.empty((8, 0))]
 
     def f(s, t):
         shape = np.broadcast_shapes(np.shape(s), np.shape(t))
-        size = math.prod(shape)
-        if size > slab[0].shape[1]:
-            slab[0] = np.empty((8, size))
-        u, jac, kix, ksx, *work = (row[:size].reshape(shape) for row in slab[0])
+        u, jac, kix, ksx, *work = _WORKSPACE.rows(shape, *_INTEGRAND_ROWS)
         v = two_k0 * np.sin(s)
         jac_v = two_k0 * np.cos(s)
         half_u = np.minimum(umax, two_k0 - np.abs(v))
         np.multiply(half_u, np.sin(t), out=u)
         np.multiply(half_u, np.cos(t), out=jac)
-        np.multiply(np.add(u, v, out=kix), 0.5, out=kix)
-        np.multiply(np.subtract(u, v, out=ksx), 0.5, out=ksx)
-        value = _reduced_amplitude(u, kix, ksx, cfg, kind, work)
+        if reads_kx:
+            np.multiply(np.add(u, v, out=kix), 0.5, out=kix)
+            np.multiply(np.subtract(u, v, out=ksx), 0.5, out=ksx)
+        value = _reduced_amplitude(u, v, (kix, ksx) if reads_kx else None, cfg, kind, work)
         if power == 2:
             np.multiply(value, value, out=value)
         if obliquity:
@@ -386,18 +446,24 @@ def _reduced_integrals(
     return results
 
 
-def _require_all_converged(integrals: Mapping[str, IntegralResult]) -> None:
+def _require_all_converged(integrals: Mapping[str, IntegralResult], max_evals: int) -> None:
     failed = [name for name, result in integrals.items() if not result.converged]
     if failed:
-        results = [integrals[name] for name in failed]
-        raise ConvergenceError(f"integrals {', '.join(failed)} did not converge", results)
+        message = f"integrals {', '.join(failed)} did not converge"
+        refused = [name for name in failed if integrals[name].evals == 0]
+        if refused:
+            message += (
+                f"; {', '.join(refused)} refused at evals=0: the starting grid costs more "
+                f"than quadrature.max_evals = {max_evals}"
+            )
+        raise ConvergenceError(message, [integrals[name] for name in failed])
 
 
 def _converged_values(kind: AmplitudeKind, cfg: ExperimentConfig, *prefixes: str) -> List[float]:
     """Values of the integrals prefix_ent or prefix_sep of kind, all converged."""
     label = "ent" if kind is AmplitudeKind.ENTANGLED else "sep"
     integrals = _reduced_integrals(cfg, [f"{prefix}_{label}" for prefix in prefixes])
-    _require_all_converged(integrals)
+    _require_all_converged(integrals, cfg.quadrature.max_evals)
     return [result.value for result in integrals.values()]
 
 
@@ -522,7 +588,7 @@ def enhancement_ratio(
     cfg_eff = cfg.replace(channel_energy_ev=channel.transition_energy_ev)
     integrals = _reduced_integrals(cfg_eff, INTEGRALS, channel.kernel)
     if strict:
-        _require_all_converged(integrals)
+        _require_all_converged(integrals, cfg.quadrature.max_evals)
 
     ratio, parts = ratio_from_integrals({name: r.value for name, r in integrals.items()})
     rel = sum(weight * _relative_error(integrals[name]) for name, weight in _ERR_R_WEIGHTS.items())

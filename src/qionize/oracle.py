@@ -40,6 +40,9 @@ PRNG_ID = "numpy-philox4x64/seedseq-per-batch"
 _PUMP_PROPOSAL_WIDTH = 1.2
 
 MIN_SAMPLES = 100_000
+# most samples one run may ask for, a thousand times the 1e8 of the oracle
+# acceptance check: 2e5 batches, whose batch-sum table stays about 10 MB
+MAX_SAMPLES = 100_000_000_000
 # samples per batch past ten batches: the count grows, so no batch holds 2x more
 _BATCH_SAMPLES = 500_000
 # fewest effective samples for either estimator to report converged
@@ -59,6 +62,8 @@ class McSpec:
     def __post_init__(self) -> None:
         if int(self.samples) < MIN_SAMPLES:
             raise DomainError(f"samples must be >= {MIN_SAMPLES}, got {self.samples!r}")
+        if int(self.samples) > MAX_SAMPLES:
+            raise DomainError(f"samples must be <= {MAX_SAMPLES}, got {self.samples!r}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 

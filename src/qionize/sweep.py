@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .observables import Channel, RatioResult, builtin_channels, enhancement_ratio
+from .observables import Channel, RatioResult, _initial_panels, builtin_channels, enhancement_ratio
 from .units import ConfigError, ExperimentConfig, Regime
 
 __all__ = [
@@ -194,9 +194,12 @@ def run_sweep(
     count = _worker_count(workers)
     if count <= 1 or len(tasks) <= 1:
         return [_evaluate_point(task) for task in tasks]
-    chunk = max(1, len(tasks) // (4 * count))
+    # longest first, by the starting grid's panel count, one task at a time:
+    # the costly long crystals no longer queue at the end of the grid
+    order = sorted(range(len(tasks)), key=lambda i: -math.prod(_initial_panels(tasks[i][0])))
     with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(_evaluate_point, tasks, chunksize=chunk))
+        done = dict(zip(order, pool.map(_evaluate_point, [tasks[i] for i in order], chunksize=1)))
+    return [done[i] for i in range(len(tasks))]
 
 
 def _log_grid(lo: float, hi: float, count: int) -> Tuple[float, ...]:

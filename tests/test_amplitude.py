@@ -143,6 +143,23 @@ def test_delta_kz_paraxial_reference_value():
     assert got == pytest.approx(100.0 / (4.0 * K0_REF), rel=1e-13)
 
 
+def test_delta_kz_paraxial_is_the_difference_square():
+    # one formula, (kix - ksx)^2 / (4 k0): the per-photon and pump terms of
+    # the expansion summed exactly, so nothing cancels
+    rng = np.random.default_rng(2026)
+    kix = rng.uniform(-1.5 * K0_REF, 1.5 * K0_REF, 10**5)
+    ksx = rng.uniform(-1.5 * K0_REF, 1.5 * K0_REF, 10**5)
+    got = delta_kz_paraxial(kix, ksx, K0_REF)
+    assert _same_bits(got, (kix - ksx) ** 2 / (4.0 * K0_REF))
+    # exchange symmetric bit for bit
+    assert _same_bits(delta_kz_paraxial(ksx, kix, K0_REF), got)
+    col, row = kix[:300, None], ksx[None, :200]
+    assert _same_bits(delta_kz_paraxial(col, row, K0_REF), (col - row) ** 2 / (4.0 * K0_REF))
+    scalar = delta_kz_paraxial(5.0, -5.0, K0_REF)
+    assert isinstance(scalar, float)
+    assert _same_bits(scalar, 100.0 / (4.0 * K0_REF))
+
+
 def test_delta_kz_domain_errors():
     with pytest.raises(DomainError):
         delta_kz_exact(1.2 * K0_REF, 0.0, K0_REF)
@@ -282,6 +299,16 @@ def test_exchange_symmetry_reduced():
         a = eval_reduced((pts[0], pts[1]), cfg, kind)
         b = eval_reduced((pts[1], pts[0]), cfg, kind)
         assert np.array_equal(a, b)
+
+
+def test_exchange_symmetry_reduced_paraxial():
+    cfg = ExperimentConfig(pump_waist_um=8.0, crystal_length_um=7.0, regime=Regime.PARAXIAL)
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(-0.99, 0.99, size=(2, 500)) * cfg.k0
+    for kind in AmplitudeKind:
+        a = eval_reduced((pts[0], pts[1]), cfg, kind)
+        b = eval_reduced((pts[1], pts[0]), cfg, kind)
+        assert _same_bits(a, b)
 
 
 def test_amplitude_band_over_seeded_configs():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qionize import observables, quadrature
+from qionize import amplitude, observables, quadrature
 from qionize.amplitude import AmplitudeKind
 from qionize.observables import (
     DIPOLE,
@@ -452,6 +452,114 @@ def test_reduced_integrand_results_do_not_alias(kind, regime):
         assert not np.array_equal(second, kept)
 
 
+# a square table, averaged into one table, and a non-square one, whose
+# transpose lies on another grid and is exchanged on the fly
+_KERNEL_TABLES = {
+    "square": make_synthetic_kernel(Parity.EVEN),
+    "non-square": TabulatedKernel("random", np.random.default_rng(11).normal(size=(33, 17))),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_KERNEL_TABLES))
+@pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
+def test_kernel_weighted_block_call_allocates_little(kind, table):
+    # the averaged kernel interpolates into workspace rows: a warm
+    # kernel-weighted call allocates its result and small per-row arrays only
+    s, t = _block_nodes(np.random.default_rng(5))
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0)
+    block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
+    even_kernel = observables._even_kernel(_KERNEL_TABLES[table], cfg.k0)
+    f = observables._reduced_integrand(cfg, kind, 1, False, even_kernel)
+    f(s, t)
+    tracemalloc.start()
+    try:
+        values = f(s, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == _BLOCK
+    assert peak <= 2 * block_bytes, peak / block_bytes
+
+
+def _per_node_integrand(cfg, kind, power, obliquity, even_kernel, s, t):
+    # the reduced integrand as one whole-array expression per node, with the
+    # paraxial mismatch in its three-term form kix^2/(2 k0) + ksx^2/(2 k0)
+    # - (kix + ksx)^2/(4 k0)
+    k0, length = cfg.k0, cfg.crystal_length_um
+    paraxial = cfg.regime is Regime.PARAXIAL
+    v = 2.0 * k0 * np.sin(s)
+    jac_v = 2.0 * k0 * np.cos(s)
+    half_u = np.minimum(observables._umax(cfg), 2.0 * k0 - np.abs(v))
+    u = half_u * np.sin(t)
+    jac = half_u * np.cos(t)
+    kix = (u + v) * 0.5
+    ksx = (u - v) * 0.5
+    kz_sum = np.sqrt(np.maximum(k0**2 - kix**2, 0.0)) + np.sqrt(np.maximum(k0**2 - ksx**2, 0.0))
+    value = np.exp((u * cfg.pump_waist_um) ** 2 * -0.5)
+    if kind is AmplitudeKind.ENTANGLED:
+        if paraxial:
+            mismatch = kix**2 / (2.0 * k0) + ksx**2 / (2.0 * k0) - (kix + ksx) ** 2 / (4.0 * k0)
+        else:
+            mismatch = np.sqrt(np.maximum(4.0 * k0**2 - u**2, 0.0)) - kz_sum
+        value = value * amplitude.sinc(mismatch * (0.5 * length))
+    if power == 2:
+        value = value * value
+    if obliquity:
+        value = value * (2.0 if paraxial else kz_sum / k0)
+    if even_kernel is not None:
+        value = value * even_kernel(kix, ksx)
+    return value * (0.5 * jac_v * jac)
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+@pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
+def test_reduced_integrand_matches_the_per_node_formula(kind, regime):
+    # factors computed on their own axes give the per-node values: the exact
+    # regime bit for bit, the paraxial one within 1e-14 of the block's
+    # largest value (near a zero of the sinc the three-term mismatch itself
+    # loses more than that to cancellation)
+    s, t = _block_nodes(np.random.default_rng(8))
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
+    cases = [(1, False, None), (2, False, None), (2, True, None), (1, False, even_kernel)]
+    for power, obliquity, kernel in cases:
+        # nan in every workspace row: a value read before this call wrote it
+        # would show, rather than a stale one from an earlier call
+        observables._WORKSPACE.rows(_BLOCK, 0, 1)
+        observables._WORKSPACE.slab.fill(np.nan)
+        got = observables._reduced_integrand(cfg, kind, power, obliquity, kernel)(s, t)
+        want = _per_node_integrand(cfg, kind, power, obliquity, kernel, s, t)
+        label = (power, obliquity, kernel is not None)
+        if regime is Regime.EXACT:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), label
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), label
+
+
+@pytest.mark.parametrize("with_kernel", [False, True])
+def test_paraxial_phase_matching_is_evaluated_once_per_row(with_kernel, monkeypatch):
+    # the paraxial mismatch (kix - ksx)^2 / (4 k0) depends on the row
+    # coordinate s alone: the sinc sees one column per block, never the block
+    shapes = []
+    sinc = amplitude.sinc
+
+    def recording_sinc(x, out=None):
+        shapes.append(np.shape(x))
+        return sinc(x, out)
+
+    monkeypatch.setattr(amplitude, "sinc", recording_sinc)
+    s, t = _block_nodes(np.random.default_rng(9))
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=Regime.PARAXIAL)
+    even_kernel = observables._even_kernel(_KERNEL_TABLES["square"], cfg.k0) if with_kernel else None
+    for power, obliquity in ((1, False), (2, False), (2, True)):
+        shapes.clear()
+        f = observables._reduced_integrand(
+            cfg, AmplitudeKind.ENTANGLED, power, obliquity, even_kernel if power == 1 else None
+        )
+        assert f(s, t).shape == _BLOCK
+        assert shapes == [(_BLOCK[0], 1)], (power, obliquity)
+
+
 @pytest.mark.parametrize("shape", [(7, 7), (7, 4)])
 def test_even_kernel_keeps_the_coherent_integral(shape):
     # an asymmetric kernel, averaged over both reflections and integrated on
@@ -543,6 +651,63 @@ def test_kernel_bilinear_evaluation():
     assert kern.evaluate(0.0, 0.0, k0) == pytest.approx(2.5)
     with pytest.raises(DomainError):
         kern.evaluate(0.0, 0.0, -1.0)
+
+
+def _bilinear_formula(values, kix, ksx, k0):
+    # the earlier whole-array expression of TabulatedKernel.evaluate
+    ti = np.clip(np.asarray(kix, dtype=float) / k0, -1.0, 1.0)
+    ts = np.clip(np.asarray(ksx, dtype=float) / k0, -1.0, 1.0)
+    ni, ns = values.shape
+    pos_i = (ti + 1.0) * 0.5 * (ni - 1)
+    pos_s = (ts + 1.0) * 0.5 * (ns - 1)
+    idx_i = np.clip(pos_i.astype(int), 0, ni - 2)
+    idx_s = np.clip(pos_s.astype(int), 0, ns - 2)
+    fi = pos_i - idx_i
+    fs = pos_s - idx_s
+    return (
+        values[idx_i, idx_s] * (1 - fi) * (1 - fs)
+        + values[idx_i + 1, idx_s] * fi * (1 - fs)
+        + values[idx_i, idx_s + 1] * (1 - fi) * fs
+        + values[idx_i + 1, idx_s + 1] * fi * fs
+    )
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(101, 101), (33, 17)])
+def test_kernel_evaluate_bit_identical_to_array_formula(shape):
+    rng = np.random.default_rng(2026)
+    kern = TabulatedKernel("random", rng.normal(size=shape))
+    k0 = K0_DIPOLE
+    n = 10**5
+    # past the kinematic edge too, where the normalized coordinate is clipped
+    kix = rng.uniform(-1.2 * k0, 1.2 * k0, n)
+    ksx = rng.uniform(-1.2 * k0, 1.2 * k0, n)
+    # the clip edges t = +-1 exactly, in every combination, and the centre
+    kix[:5] = (k0, k0, -k0, -k0, 0.0)
+    ksx[:5] = (k0, -k0, k0, -k0, 0.0)
+    want = _bilinear_formula(kern.values, kix, ksx, k0)
+    assert _same_bits(kern.evaluate(kix, ksx, k0), want)
+    out = np.empty(n)
+    assert kern.evaluate(kix, ksx, k0, out=out) is out
+    assert _same_bits(out, want)
+    # broadcast 2-D input, with and without out
+    col, row = kix[:300, None], ksx[None, :200]
+    want = _bilinear_formula(kern.values, col, row, k0)
+    assert _same_bits(kern.evaluate(col, row, k0), want)
+    assert _same_bits(kern.evaluate(col, row, k0, out=np.empty((300, 200))), want)
+    # a scalar pair gives a float; 0-d arrays with out give the out array
+    for a, b in ((0.3 * k0, -0.7 * k0), (k0, -k0), (2.0 * k0, 0.0)):
+        want = _bilinear_formula(kern.values, a, b, k0)
+        got = kern.evaluate(a, b, k0)
+        assert isinstance(got, float)
+        assert _same_bits(got, want)
+        out = np.empty(())
+        assert kern.evaluate(np.array(a), np.array(b), k0, out=out) is out
+        assert _same_bits(out, want)
 
 
 def test_kernel_roundtrip(tmp_path):

@@ -36,6 +36,17 @@ def test_mc_spec_validation():
     assert McSpec(seed=np.int64(7)).seed == 7
 
 
+def test_mc_spec_refuses_sample_counts_past_the_ceiling():
+    # far above the 1e8 samples of the oracle acceptance check, and low
+    # enough that the per-batch sums of a run stay small
+    assert oracle.MAX_SAMPLES >= 1000 * 10**8
+    assert McSpec(samples=oracle.MAX_SAMPLES).samples == oracle.MAX_SAMPLES
+    for samples in (oracle.MAX_SAMPLES + 1, 10**14, 10**300):
+        with pytest.raises(DomainError, match="samples"):
+            McSpec(samples=samples)
+    assert len(oracle._batch_sizes(oracle.MAX_SAMPLES)) <= 200_000
+
+
 def test_batch_sizes_stay_bounded_and_keep_small_runs():
     # up to 2e7 samples the count is what it always was, 10 to 40 batches,
     # so those runs keep their batch boundaries and PRNG streams

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import qionize
+from qionize import sweep
 from qionize.cli import main
 from qionize.observables import INTEGRALS, enhancement_ratio
 from qionize.sweep import (
@@ -99,6 +100,43 @@ def test_run_sweep_matches_direct_evaluation(tiny_records):
 def test_run_sweep_parallel_equals_serial(tiny_records):
     plan, serial = tiny_records
     assert run_sweep(plan, workers=2) == serial
+
+
+def test_run_sweep_dispatches_longest_first_in_grid_order(monkeypatch, tmp_path):
+    # workers get the longest crystals first, one task at a time, and the
+    # records still come back in grid order, byte for byte as a serial run
+    dispatched = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            dispatched.append(([cfg.crystal_length_um for cfg, _ in tasks], chunksize))
+            return map(fn, tasks)
+
+    plan = SweepPlan(
+        axis1=SweepAxis("crystal_length_um", (0.5, 3.0, 6.0)),
+        axis2=SweepAxis("pump_waist_um", (5.0, 10.0)),
+    )
+    serial = run_sweep(plan, workers=1)
+    monkeypatch.delenv("QIONIZE_THREADS", raising=False)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    records = run_sweep(plan, workers=2)
+    assert dispatched == [([6.0, 6.0, 3.0, 3.0, 0.5, 0.5], 1)]
+    assert records == serial
+    for name, recs in (("serial", serial), ("parallel", records)):
+        write_csv(recs, str(tmp_path / f"{name}.csv"))
+        write_jsonl(recs, str(tmp_path / f"{name}.jsonl"))
+    for suffix in ("csv", "jsonl"):
+        serial_bytes = (tmp_path / f"serial.{suffix}").read_bytes()
+        assert (tmp_path / f"parallel.{suffix}").read_bytes() == serial_bytes
 
 
 def test_worker_count_env_cap(monkeypatch):
@@ -314,6 +352,27 @@ def test_cli_refuses_unaffordable_lengths_at_once(argv, names, capsys):
     assert [str(w.message) for w in caught] == []
     assert err.split("integrals ", 1)[1].split(" did not converge")[0] == ", ".join(names)
     assert "evals=0" in err
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("argv", [["ratio", "--length", "1e300"], ["flux", "--length", "1.7e308"]])
+def test_cli_refused_integrals_name_the_budget(argv, capsys):
+    # an integral refused before its first round points at the one field
+    # that would let it start
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "refused at evals=0" in err
+    assert "quadrature.max_evals = 10000000" in err
+
+
+def test_cli_oracle_check_refuses_samples_past_the_ceiling(capsys):
+    start = time.perf_counter()
+    code = main(["oracle-check", "--configs", "1", "--samples", str(10**14)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "samples must be <=" in err
+    assert "Traceback" not in err
     assert elapsed < 5.0
 
 
