@@ -20,8 +20,22 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .amplitude import AmplitudeKind, _kz_sum, _reduced_amplitude, check_narrowband_guard
-from .quadrature import BLOCK_NODES, ConvergenceError, EvenDomain, IntegralResult, integrate_2d
+from .amplitude import (
+    AmplitudeKind,
+    _kz_sum,
+    _paraxial_mismatch,
+    _reduced_amplitude,
+    check_narrowband_guard,
+    sinc,
+)
+from .quadrature import (
+    BLOCK_NODES,
+    ConvergenceError,
+    EvenDomain,
+    IntegralResult,
+    integrate_1d,
+    integrate_2d,
+)
 from .units import C_UM_PER_S, DEFAULT_CHANNEL_ENERGY_EV, DomainError, ExperimentConfig, Regime
 
 __all__ = [
@@ -105,6 +119,16 @@ class TabulatedKernel:
             raise KernelError("kernel grid contains non-finite values")
         # C order, so values.ravel() is a view
         object.__setattr__(self, "values", np.ascontiguousarray(arr))
+
+    # value equality, so that a Channel carrying a kernel compares and
+    # hashes; + 0.0 maps -0.0 to 0.0, which np.array_equal treats as equal
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TabulatedKernel):
+            return NotImplemented
+        return self.name == other.name and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.values.shape, (self.values + 0.0).tobytes()))
 
     def evaluate(self, kix, ksx, k0: float, out: Optional[np.ndarray] = None):
         """Bilinear interpolation at (kix, ksx) for central wavenumber k0.
@@ -414,17 +438,118 @@ _HALF_PI = 0.5 * math.pi
 _ANGLE_DOMAIN = EvenDomain(((-_HALF_PI, _HALF_PI), (-_HALF_PI, _HALF_PI)))
 
 
-def _initial_panels(cfg: ExperimentConfig) -> Tuple[float, float]:
+def _initial_panels(cfg: ExperimentConfig, reads_length: bool = True) -> Tuple[float, float]:
     # the phase-matching argument reaches L*k0/2 along s; along t it only
     # varies through the exact dispersion's curvature in u, roughly
     # L*umax^2/(4 k0). Start with a few oscillations per 16-point panel and
     # let per-axis refinement and freezing take it from there. Whole Python
     # floats, inf past overflow: integrate_2d prices them against max_evals.
+    # An integrand that never reads L starts where L -> 0+ would, each
+    # positive cycle count rounding up to 1.
     k0, length, umax = float(cfg.k0), float(cfg.crystal_length_um), float(_umax(cfg))
-    n_s = max(8.0, 4.0 + float(np.ceil(length * k0 / 5.0)))
+    if reads_length:
+        cycles_s = float(np.ceil(length * k0 / 5.0))
+        cycles_t = float(np.ceil(length * umax * umax / (4.0 * k0) / 12.0))
+    else:
+        cycles_s = cycles_t = 1.0
+    n_s = max(8.0, 4.0 + cycles_s)
     if cfg.regime is Regime.PARAXIAL:
         return (n_s, 2.0)
-    return (n_s, 2.0 + float(np.ceil(length * umax * umax / (4.0 * k0) / 12.0)))
+    return (n_s, 2.0 + cycles_t)
+
+
+_SQRT_PI = math.sqrt(math.pi)
+_EPS = sys.float_info.epsilon
+
+
+def _gauss_moment(h: np.ndarray, waist: float, power: int) -> np.ndarray:
+    """g_p(h), the integral of exp(-p (waist u)^2 / 2) over |u| <= h, at each h >= 0.
+
+    Written sqrt(pi) h erf(x) / x with x = h waist sqrt(p / 2), which has no
+    1 / waist to overflow. Below x = 0.01 erf(x) / x is its series
+    2 / sqrt(pi) (1 - x^2/3 + x^4/10 - x^6/42), exact to double precision
+    there; above, math.erf node by node, since numpy has no erf.
+    """
+    x = h * (waist * math.sqrt(0.5 * power))
+    x2 = x * x
+    ratio = (2.0 / _SQRT_PI) * (1.0 - x2 * (1.0 / 3.0 - x2 * (0.1 - x2 / 42.0)))
+    large = np.flatnonzero(x >= 0.01)
+    ratio[large] = [math.erf(xi) / xi for xi in x[large].tolist()]
+    return _SQRT_PI * h * ratio
+
+
+def _separable_closed_form(cfg: ExperimentConfig, power: int) -> IntegralResult:
+    """I1_sep or I2_sep from its erf form, any regime.
+
+    F_sep^p = exp(-p (w u)^2 / 2) reads u alone, and the rhombus chord at u
+    is 2 (2 k0 - |u|) long in v, so with d kix d ksx = (1/2) du dv
+    I = 2 k0 g_p(umax) - umax^2 (1 - exp(-y)) / y, y = p (w umax)^2 / 2.
+    The error estimate, 8 eps |I|, bounds the rounding of its dozen
+    operations (mpmath references measure about one eps).
+    """
+    umax, waist = _umax(cfg), cfg.pump_waist_um
+    y = (umax * waist) ** 2 * (0.5 * power)
+    # (1 - exp(-y)) / y, by its series where y underflows or the quotient would cancel
+    tail = 1.0 - 0.5 * y if y < 1e-8 else -math.expm1(-y) / y
+    g_max = float(_gauss_moment(np.array([umax]), waist, power)[0])
+    value = 2.0 * cfg.k0 * g_max - umax * umax * tail
+    err = 8.0 * _EPS * value
+    tol = max(cfg.quadrature.rel_tol * value, cfg.quadrature.abs_tol)
+    return IntegralResult(value, err, 0, err <= tol, "closed_form")
+
+
+def _paraxial_entangled(cfg: ExperimentConfig, power: int) -> IntegralResult:
+    """I1_ent or I2_ent in the paraxial regime, one 1D integral over v.
+
+    The paraxial mismatch reads v = kix - ksx alone, so at each v the u
+    integral over the rhombus chord |u| <= h(v) = min(umax, 2 k0 - |v|) is
+    the Gaussian moment g_p(h(v)), and with the integrand even in v
+    I = integral over 0 < v < 2 k0 of sinc(L v^2 / (8 k0))^p g_p(h(v)).
+    h is umax, g_p one constant, up to v = 2 k0 - umax; only the edge band
+    above needs an erf per node. The kink there is a piece edge, unless the
+    band is narrower than the rounding of 2 k0 (pump waists past ~1e15 um),
+    where g_p = g_p(umax) throughout is exact to that rounding.
+    """
+    k0, waist, umax = cfg.k0, cfg.pump_waist_um, _umax(cfg)
+    two_k0, half_length = 2.0 * k0, 0.5 * cfg.crystal_length_um
+    g_max = float(_gauss_moment(np.array([umax]), waist, power)[0])
+
+    def f(v):
+        value = sinc(_paraxial_mismatch(v, k0) * half_length)
+        if power == 2:
+            np.multiply(value, value, out=value)
+        h = two_k0 - v
+        g = np.full(v.shape, g_max)
+        edge = np.flatnonzero(h < umax)
+        g[edge] = _gauss_moment(h[edge], waist, power)
+        return np.multiply(value, g, out=value)
+
+    band = two_k0 - umax
+    edges = (0.0, band, two_k0) if band < two_k0 else (0.0, two_k0)
+    # about 10 radians of p times the phase per 16-point panel, at the rate
+    # L b / (4 k0) the phase reaches at each piece's top b; whole Python
+    # floats, inf past overflow, priced by integrate_1d against max_evals
+    length = float(cfg.crystal_length_um)
+    panels = [
+        2.0 + float(np.ceil(power * length * b * (b - a) / (4.0 * k0) / 10.0))
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    result = integrate_1d(f, edges, cfg.quadrature, panels)
+    # the doubling delta can reach 0 while rounding still counts: each
+    # node's sinc is off by about eps whatever its phase, as the phase is
+    # rounded relative to itself, so the sum is off by about eps times the
+    # integral of g_p, the separable integral. mpmath references measure
+    # at most one such unit; eight of them are added.
+    err = result.error_estimate + 8.0 * _EPS * _separable_closed_form(cfg, power).value
+    tol = max(cfg.quadrature.rel_tol * abs(result.value), cfg.quadrature.abs_tol)
+    return replace(result, error_estimate=err, converged=result.converged and err <= tol)
+
+
+def _twice(result: IntegralResult) -> IntegralResult:
+    """2 * result, no evals of its own: paraxial I2w from I2, the obliquity being 2."""
+    return IntegralResult(
+        2.0 * result.value, 2.0 * result.error_estimate, 0, result.converged, "twice_I2"
+    )
 
 
 def _reduced_integrals(
@@ -432,25 +557,45 @@ def _reduced_integrals(
 ) -> Dict[str, IntegralResult]:
     """The named INTEGRALS at cfg, in the order of names.
 
-    A kernel weights the coherent integrals I1 only. Each name is one call
-    of the module-global integrate_2d, looked up at call time.
+    A kernel weights the coherent integrals I1 only. Each integral takes its
+    cheapest exact route, named by its result's method:
+    - paraxial, unweighted: I1_sep and I2_sep in closed form, I1_ent and
+      I2_ent by integrate_1d over v, I2w = 2 * I2 bit for bit;
+    - otherwise one call of the module-global integrate_2d, looked up at
+      call time; the exact regime makes its six calls in INTEGRALS order.
+      Without a kernel the separable integrands never read L and start
+      from L -> 0+ panels. A kernel ratio's separable triple keeps the
+      L-dependent start: from L -> 0+ the quadrupole's I2_sep at (50, 3) um
+      lands 7.8e-9 from its closed form instead of 5e-16, moving R 6.2e-9.
     """
     check_narrowband_guard(cfg)
-    panels = _initial_panels(cfg)
+    paraxial = cfg.regime is Regime.PARAXIAL
     even_kernel = _even_kernel(kernel, cfg.k0) if kernel is not None else None
-    results = {}
+    computed: Dict[str, IntegralResult] = {}
     for name in names:
         kind, power, obliquity = INTEGRALS[name]
-        f = _reduced_integrand(cfg, kind, power, obliquity, even_kernel if power == 1 else None)
-        results[name] = integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, panels)
-    return results
+        weighted = kernel is not None and power == 1
+        separable = kind is AmplitudeKind.SEPARABLE
+        if paraxial and not weighted:
+            # I2w = 2 * I2, the paraxial obliquity being 2: each norm runs once
+            norm = name.replace("I2w", "I2")
+            if norm not in computed:
+                route = _separable_closed_form if separable else _paraxial_entangled
+                computed[norm] = route(cfg, power)
+            computed[name] = computed[norm] if norm == name else _twice(computed[norm])
+        else:
+            f = _reduced_integrand(cfg, kind, power, obliquity, even_kernel if weighted else None)
+            panels = _initial_panels(cfg, reads_length=kernel is not None or not separable)
+            computed[name] = integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, panels)
+    return {name: computed[name] for name in names}
 
 
 def _require_all_converged(integrals: Mapping[str, IntegralResult], max_evals: int) -> None:
     failed = [name for name, result in integrals.items() if not result.converged]
     if failed:
         message = f"integrals {', '.join(failed)} did not converge"
-        refused = [name for name in failed if integrals[name].evals == 0]
+        refused = [name for name in failed if integrals[name].error_estimate == math.inf
+                   and integrals[name].evals == 0]
         if refused:
             message += (
                 f"; {', '.join(refused)} refused at evals=0: the starting grid costs more "

@@ -1,12 +1,14 @@
-"""Deterministic 2D quadrature over rectangles.
+"""Deterministic quadrature over rectangles and over piecewise intervals.
 
-One rule: a panelized 16-point Gauss-Legendre product rule, refined by
-doubling the panel count of whichever axis contributes the larger
-last-doubling delta. The caller hints a starting resolution per axis.
+One rule: panelized 16-point Gauss-Legendre. In 2D it is a product rule,
+refined by doubling the panel count of whichever axis contributes the
+larger last-doubling delta; in 1D (integrate_1d) every piece of the
+interval doubles its panels each round. The caller hints a starting
+resolution per axis or per piece.
 
 The rule is open (no endpoint evaluations) and fully deterministic, and
 max_evals is the one bound on its work: it never starts a refinement round
-the budget cannot pay for. A caller that passes an EvenDomain promises the
+the budget cannot pay for. A 2D caller that passes an EvenDomain promises the
 integrand is even about the centre of each axis; the rule then evaluates
 only the upper half of each axis's nodes, one quadrant of the grid at twice
 the weight, with the panels, refinement and error estimate of the plain
@@ -32,6 +34,7 @@ __all__ = [
     "EvenDomain",
     "IntegralResult",
     "ConvergenceError",
+    "integrate_1d",
     "integrate_2d",
 ]
 
@@ -63,6 +66,9 @@ class IntegralResult:
     abs_tol) was reached; evals never exceed max_evals, and a start the
     budget cannot pay for is refused as (nan, inf, 0, False). A False flag
     is the caller's signal to escalate, never silently absorbed here.
+    method names the route: "tensor_gauss" (integrate_2d), "gauss_1d"
+    (integrate_1d), or a route of the caller's that evaluates no integrand
+    and reports evals = 0, such as "closed_form".
     """
 
     value: float
@@ -219,3 +225,79 @@ def integrate_2d(
     spec = spec if spec is not None else QuadratureSpec()
     x0, x1, y0, y1 = _check_domain(domain)
     return _tensor_gauss(f, x0, x1, y0, y1, spec, initial_panels, isinstance(domain, EvenDomain))
+
+
+def _check_edges(edges) -> Tuple[float, ...]:
+    try:
+        points = tuple(float(x) for x in edges)
+    except (TypeError, ValueError):
+        raise DomainError(f"edges must be a sequence of numbers, got {edges!r}") from None
+    if len(points) < 2 or not (
+        np.isfinite(points).all() and all(a < b for a, b in zip(points, points[1:]))
+    ):
+        raise DomainError(f"edges must be at least two finite, increasing points, got {edges!r}")
+    return points
+
+
+def _piecewise_eval(f, edges, panels):
+    # every piece's panel rule in order, called in runs of at most
+    # BLOCK_NODES nodes; partial sums add in fixed order, so the value
+    # depends on nothing but the panel counts
+    total, evals = 0.0, 0
+    for a, b, n in zip(edges[:-1], edges[1:], panels):
+        x, w = _panel_rule(a, b, n, _GL16_X, _GL16_W)
+        for i in range(0, x.size, BLOCK_NODES):
+            x_blk = x[i : i + BLOCK_NODES]
+            values = np.asarray(f(x_blk), dtype=float)
+            if values.shape != x_blk.shape:
+                raise DomainError(
+                    f"integrand must return shape {x_blk.shape} on nodes {i}:{i + x_blk.size} "
+                    f"of [{a!r}, {b!r}], got {values.shape}"
+                )
+            total += float(np.einsum("i,i->", w[i : i + BLOCK_NODES], values))
+        evals += x.size
+    return total, evals
+
+
+def integrate_1d(
+    f: Callable,
+    edges: Sequence[float],
+    spec: Optional[QuadratureSpec] = None,
+    initial_panels: Optional[Sequence[float]] = None,
+) -> IntegralResult:
+    """Integrate f over [edges[0], edges[-1]], one panel rule per piece.
+
+    The pieces are [edges[i], edges[i + 1]]; put an edge wherever f has a
+    kink, so that each piece is smooth. initial_panels gives each piece's
+    starting panel count (whole or inf; 2 each by default), a
+    performance hint like integrate_2d's. Each round doubles every piece's
+    panels, and the error estimate is the change of the whole sum. f must
+    be vectorized and pointwise: it is called on runs of consecutive nodes
+    x (a 1-D array) and returns the array of values of x's shape. Rounds
+    are priced against max_evals before they run, as in integrate_2d, and
+    a start the budget cannot pay for is refused as (nan, inf, 0, False).
+    Identical inputs produce bit-identical results.
+    """
+    spec = spec if spec is not None else QuadratureSpec()
+    edges = _check_edges(edges)
+    hints = (2,) * (len(edges) - 1) if initial_panels is None else tuple(initial_panels)
+    if len(hints) != len(edges) - 1:
+        raise DomainError(f"{len(hints)} panel counts for {len(edges) - 1} pieces")
+    panels = [max(2, n) for n in hints]
+    max_evals = int(spec.max_evals)
+    value, err, evals = math.nan, math.inf, 0
+    while True:
+        # the first round runs the start and its doubling, each later one a
+        # doubling; priced in Python numbers before any int() or node
+        cost = ((evals == 0) + 2) * 16 * sum(panels)
+        if evals + cost > max_evals:
+            return IntegralResult(value, err, evals, False, "gauss_1d")
+        if evals == 0:
+            panels = [int(n) for n in panels]
+            value, evals = _piecewise_eval(f, edges, panels)
+        panels = [2 * n for n in panels]
+        refined, n = _piecewise_eval(f, edges, panels)
+        evals += n
+        value, err = refined, abs(refined - value)
+        if err <= max(spec.rel_tol * abs(value), spec.abs_tol):
+            return IntegralResult(value, err, evals, True, "gauss_1d")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -276,11 +277,12 @@ def test_strict_raises_on_budget_exhaustion():
 def test_ratio_eval_schedule_pin():
     # each integral's evals at the pinned (50, 3) um config: the folded rule
     # evaluates a quarter of the (748800, 1347840, ...) nodes of the whole
-    # square on the same panels; a change of panels or fold shows up here
+    # square on the same panels; a change of panels or fold shows up here.
+    # The separable integrands never read L and start from L -> 0+ panels.
     res = enhancement_ratio(ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0))
     names = ("I1_ent", "I2_ent", "I2w_ent", "I1_sep", "I2_sep", "I2w_sep")
     evals = tuple(res.diagnostics[name].evals for name in names)
-    assert evals == (187200, 336960, 336960, 187200, 336960, 336960)
+    assert evals == (187200, 336960, 336960, 7680, 19968, 13824)
 
 
 def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
@@ -351,6 +353,95 @@ def test_ratio_refuses_subnormal_coherent_squares():
         for tiny in (1e-155, 0.0):
             with pytest.raises(DomainError, match="pump_waist_um"):
                 ratio_from_integrals({**values, name: tiny})
+
+
+# ---------------------------------------------------------------- paraxial routes
+
+# the benchmark panel, then waists where a 1 / w or a w^2 leaves double range
+PARAXIAL_CHECK_POINTS_UM = (
+    (0.01, 1.0), (1.0, 10.0), (1.0, 50.0), (50.0, 3.0), (100.0, 100.0),
+    (1.0, 5e-324), (1.0, 1e-3), (1.0, 1e150),
+)
+PARAXIAL_METHODS = {"I1_ent": "gauss_1d", "I2_ent": "gauss_1d", "I2w_ent": "twice_I2",
+                    "I1_sep": "closed_form", "I2_sep": "closed_form", "I2w_sep": "twice_I2"}
+
+
+def _ratio_by_2d_quadrature(cfg):
+    """R and err_R from integrate_2d of the reduced integrand, all six integrals."""
+    panels = observables._initial_panels(cfg)
+    results = {
+        name: integrate_2d(observables._reduced_integrand(cfg, *spec, None),
+                           observables._ANGLE_DOMAIN, cfg.quadrature, panels)
+        for name, spec in INTEGRALS.items()
+    }
+    assert all(result.converged for result in results.values())
+    ratio, _ = ratio_from_integrals({name: result.value for name, result in results.items()})
+    rel = sum(weight * observables._relative_error(results[name])
+              for name, weight in observables._ERR_R_WEIGHTS.items())
+    return ratio.value, abs(ratio.value) * rel
+
+
+@pytest.mark.parametrize("length, waist", PARAXIAL_CHECK_POINTS_UM)
+def test_paraxial_routes_match_the_2d_quadrature(length, waist):
+    cfg = ExperimentConfig(crystal_length_um=length, pump_waist_um=waist, regime=Regime.PARAXIAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = enhancement_ratio(cfg)
+    assert res.converged
+    assert {name: res.diagnostics[name].method for name in INTEGRALS} == PARAXIAL_METHODS
+    for label in ("ent", "sep"):
+        i2, i2w = (res.diagnostics[f"{prefix}_{label}"] for prefix in ("I2", "I2w"))
+        assert (i2w.value, i2w.error_estimate) == (2.0 * i2.value, 2.0 * i2.error_estimate)
+    r_2d, err_2d = _ratio_by_2d_quadrature(cfg)
+    assert abs(res.R - r_2d) <= res.err_R + err_2d, (res.R, r_2d, res.err_R, err_2d)
+
+
+def test_paraxial_obliquity_integrals_follow_their_norms():
+    # I2w = 2 I2 needs I2, even where only I2w is asked for; a refused I2
+    # refuses I2w, and a ratio of refused entangled integrals says so
+    cfg = ExperimentConfig(crystal_length_um=1.0, pump_waist_um=10.0, regime=Regime.PARAXIAL)
+    alone = observables._reduced_integrals(cfg, ("I2w_ent",))
+    assert list(alone) == ["I2w_ent"]
+    assert alone["I2w_ent"].value == 2.0 * observables._reduced_integrals(cfg, ("I2_ent",))[
+        "I2_ent"].value
+    refused = enhancement_ratio(cfg.replace(crystal_length_um=1e300), strict=False)
+    for name in ("I1_ent", "I2_ent", "I2w_ent"):
+        result = refused.diagnostics[name]
+        assert (result.error_estimate, result.evals, result.converged) == (math.inf, 0, False)
+    assert all(refused.diagnostics[name].converged for name in ("I1_sep", "I2_sep", "I2w_sep"))
+    with pytest.raises(ConvergenceError, match="I1_ent, I2_ent, I2w_ent refused at evals=0"):
+        enhancement_ratio(cfg.replace(crystal_length_um=1e300))
+
+
+def test_paraxial_integrals_below_rounding_fail_without_being_refused():
+    # a tolerance below double rounding: the 1D routes run and fail, the
+    # closed forms and I2w = 2 I2 fail with no evals of their own, and
+    # none of them is reported as refused by the budget
+    cfg = ExperimentConfig(
+        crystal_length_um=1.0, pump_waist_um=10.0, regime=Regime.PARAXIAL,
+        quadrature=QuadratureSpec(rel_tol=1e-17, abs_tol=0.0, max_evals=5000),
+    )
+    res = enhancement_ratio(cfg, strict=False)
+    assert not any(res.diagnostics[name].converged for name in INTEGRALS)
+    assert all(res.diagnostics[name].evals > 0 for name in ("I1_ent", "I2_ent"))
+    with pytest.raises(ConvergenceError, match="^integrals I1_ent, I2_ent, I2w_ent, I1_sep, "
+                       "I2_sep, I2w_sep did not converge \\[") as info:
+        enhancement_ratio(cfg)
+    assert "refused" not in str(info.value)
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+def test_separable_integrals_ignore_crystal_length(regime):
+    # |F_sep|^2 never reads L: its integrals, quadrature schedule included,
+    # are the same at any length
+    names = ("I1_sep", "I2_sep", "I2w_sep")
+    short, long = (
+        observables._reduced_integrals(
+            ExperimentConfig(crystal_length_um=length, regime=regime), names)
+        for length in (1.0, 3000.0)
+    )
+    assert all(result.converged for result in short.values())
+    assert short == long
 
 
 # ---------------------------------------------------------------- folded quadrant
@@ -609,6 +700,20 @@ def test_channel_validation():
         Channel("bad", -1.0, 1, Parity.ODD)
     with pytest.raises(DomainError):
         Channel("bad", 2.0, 0, Parity.ODD)
+
+
+def test_kernel_channels_compare_and_hash_by_value():
+    a = QUADRUPOLE.with_kernel(make_synthetic_kernel(Parity.EVEN))
+    b = QUADRUPOLE.with_kernel(make_synthetic_kernel(Parity.EVEN))
+    assert a == b and hash(a) == hash(b)
+    assert {a: "cached"}[b] == "cached"
+    assert a != QUADRUPOLE.with_kernel(make_synthetic_kernel(Parity.ODD))
+    assert a != QUADRUPOLE
+    zero = TabulatedKernel("k", np.array([[0.0, 1.0], [2.0, 3.0]]))
+    negative_zero = TabulatedKernel("k", np.array([[-0.0, 1.0], [2.0, 3.0]]))
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    assert zero != TabulatedKernel("other", zero.values)
+    assert zero != TabulatedKernel("k", np.zeros((2, 3)))
 
 
 def test_high_ell_channel_requires_kernel():

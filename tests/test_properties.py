@@ -81,6 +81,11 @@ def _assert_exit_contract(code, err, argv):
 # the starting panel counts overflow to inf
 @example(flags=("1.7e308", _DEFAULT_WAIST, "exact"))
 @example(flags=("1e306", "0.1", "exact"))
+# the paraxial routes' erf and expm1 forms at waists where 1 / w or w^2
+# leaves double range
+@example(flags=("1.0", "5e-324", "paraxial"))
+@example(flags=("1.0", "0.001", "paraxial"))
+@example(flags=("1.0", "1e150", "paraxial"))
 def test_cli_ratio_property_exit_codes(flags, tmp_path, capsys):
     # any flag values give exit 0, 1 or 2 and a message, never a traceback
     path = tmp_path / "budget.cfg"
@@ -108,6 +113,9 @@ _KINDS = st.sampled_from([k.value for k in AmplitudeKind])
 )
 @example(flags=("1.7e308", _DEFAULT_WAIST, "exact", "separable"))
 @example(flags=("1e306", "0.1", "exact", "entangled"))
+@example(flags=("1.0", "5e-324", "paraxial", "entangled"))
+@example(flags=("1.0", "0.001", "paraxial", "separable"))
+@example(flags=("1.0", "1e150", "paraxial", "entangled"))
 def test_cli_flux_property_exit_codes(flags, tmp_path, capsys):
     path = tmp_path / "budget.cfg"
     path.write_text("quadrature.max_evals = 100000\n")

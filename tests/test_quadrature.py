@@ -1,4 +1,4 @@
-"""Deterministic 2D quadrature: exactness, invariants, and failure reporting."""
+"""Deterministic 1D and 2D quadrature: exactness, invariants, and failure reporting."""
 
 import math
 import warnings
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qionize import quadrature
-from qionize.quadrature import ConvergenceError, IntegralResult, integrate_2d
+from qionize.quadrature import ConvergenceError, IntegralResult, integrate_1d, integrate_2d
 from qionize.units import DomainError, QuadratureSpec
 
 TIGHT = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
@@ -317,3 +317,93 @@ def test_even_domain_budget_counts_evaluated_nodes():
     res = run(quadrature.EvenDomain(box), folded_evals - 1)
     assert res.evals <= folded_evals - 1
     assert not res.converged
+
+
+# ---------------------------------------------------------------- piecewise 1D rule
+
+
+def test_integrate_1d_is_exact_on_polynomials_and_counts_its_nodes():
+    # x^5 - 3 x over [-1, 2]: 63/6 - 4.5 = 6; a (2, 2) start and its doubling
+    # take (2 + 2) * 16 + (4 + 4) * 16 = 192 nodes
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return x**5 - 3.0 * x
+
+    res = integrate_1d(f, (-1.0, 0.5, 2.0), TIGHT)
+    assert res.converged and res.method == "gauss_1d"
+    assert res.value == pytest.approx(6.0, rel=1e-14)
+    assert res.evals == sum(calls) == 192
+    assert res.error_estimate <= 1e-12
+
+
+def test_integrate_1d_prices_its_first_round_before_it_runs():
+    # a (2, 2) start: four panels and their doubling, 3 * 16 * 4 = 192 nodes
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(x)
+
+    refused = integrate_1d(f, (0.0, 0.5, 1.0), QuadratureSpec(max_evals=191))
+    assert math.isnan(refused.value)
+    assert (refused.error_estimate, refused.evals, refused.converged) == (math.inf, 0, False)
+    assert calls == []
+    ran = integrate_1d(f, (0.0, 0.5, 1.0), QuadratureSpec(max_evals=192))
+    assert ran.converged
+    assert ran.evals == sum(calls) == 192
+
+
+def test_integrate_1d_resolves_a_kink_on_a_piece_edge():
+    # exp(-|x - 0.3|) has a kink at 0.3: as a piece edge it costs nothing
+    truth = 2.0 - math.exp(-1.3) - math.exp(-0.7)
+    res = integrate_1d(lambda x: np.exp(-np.abs(x - 0.3)), (-1.0, 0.3, 1.0), TIGHT)
+    assert res.converged
+    assert abs(res.value - truth) <= max(res.error_estimate, 1e-15)
+    assert res.evals == 192
+    again = integrate_1d(lambda x: np.exp(-np.abs(x - 0.3)), (-1.0, 0.3, 1.0), TIGHT)
+    assert again == res
+
+
+def test_integrate_1d_refines_every_piece_until_tolerance():
+    # cos(60 x) over [0, 3]: the start is far too coarse, doubling fixes it
+    res = integrate_1d(lambda x: np.cos(60.0 * x), (0.0, 1.0, 3.0), TIGHT)
+    assert res.converged
+    assert res.value == pytest.approx(math.sin(180.0) / 60.0, rel=1e-9)
+    assert res.evals > 192
+
+
+@pytest.mark.parametrize("initial_panels", [(math.inf, 2), (1e300, 1e300), (2, 1e200)])
+def test_integrate_1d_refuses_an_unaffordable_start_at_once(initial_panels):
+    def f(x):
+        raise AssertionError("the integrand must not be called")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_1d(f, (0.0, 1.0, 2.0), TIGHT, initial_panels)
+    assert math.isnan(res.value)
+    assert (res.error_estimate, res.evals, res.converged) == (math.inf, 0, False)
+
+
+@pytest.mark.parametrize("max_evals", [1_000, 5_000, 20_000])
+def test_integrate_1d_never_overdraws_its_budget(max_evals):
+    spec = QuadratureSpec(rel_tol=1e-12, max_evals=max_evals)
+    res = integrate_1d(lambda x: np.cos(3000.0 * x), (0.0, 3.0), spec)
+    assert not res.converged
+    assert 0 < res.evals <= max_evals
+
+
+@pytest.mark.parametrize(
+    "edges, panels",
+    [((1.0,), None), ((0.0, 0.0), None), ((1.0, 0.0), None), ((0.0, math.inf), None),
+     ((0.0, 1.0, 2.0), (4,)), ("ab", None)],
+)
+def test_integrate_1d_rejects_malformed_pieces(edges, panels):
+    with pytest.raises(DomainError):
+        integrate_1d(lambda x: x, edges, TIGHT, panels)
+
+
+def test_integrate_1d_checks_the_integrand_shape():
+    with pytest.raises(DomainError, match="shape"):
+        integrate_1d(lambda x: np.ones(3), (0.0, 1.0), TIGHT)

@@ -31,7 +31,7 @@ from qionize.sweep import (
 )
 from qionize.units import ConfigError, ExperimentConfig, Regime
 
-ALL_INTEGRALS = list(INTEGRALS)
+ENTANGLED_INTEGRALS = [name for name in INTEGRALS if name.endswith("_ent")]
 
 
 # ---------------------------------------------------------------- plan validation
@@ -332,10 +332,11 @@ def test_cli_ratio_refuses_waists_beyond_double_precision(waist, capsys):
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (["ratio", "--length", "1.7e308"], ALL_INTEGRALS),
-        (["ratio", "--length", "1e306", "--pump-waist", "0.1"], ALL_INTEGRALS),
-        (["ratio", "--length", "1e300"], ALL_INTEGRALS),
-        (["flux", "--length", "1.7e308"], ["I2_sep", "I2w_sep"]),
+        (["ratio", "--length", "1.7e308"], ENTANGLED_INTEGRALS),
+        (["ratio", "--length", "1e306", "--pump-waist", "0.1"], ENTANGLED_INTEGRALS),
+        (["ratio", "--length", "1e300"], ENTANGLED_INTEGRALS),
+        (["ratio", "--length", "1e300", "--regime", "paraxial"], ENTANGLED_INTEGRALS),
+        (["flux", "--length", "1.7e308", "--kind", "entangled"], ["I2_ent", "I2w_ent"]),
     ],
 )
 def test_cli_refuses_unaffordable_lengths_at_once(argv, names, capsys):
@@ -355,7 +356,9 @@ def test_cli_refuses_unaffordable_lengths_at_once(argv, names, capsys):
     assert elapsed < 5.0
 
 
-@pytest.mark.parametrize("argv", [["ratio", "--length", "1e300"], ["flux", "--length", "1.7e308"]])
+@pytest.mark.parametrize(
+    "argv", [["ratio", "--length", "1e300"], ["flux", "--length", "1.7e308", "--kind", "entangled"]]
+)
 def test_cli_refused_integrals_name_the_budget(argv, capsys):
     # an integral refused before its first round points at the one field
     # that would let it start
@@ -363,6 +366,18 @@ def test_cli_refused_integrals_name_the_budget(argv, capsys):
     err = capsys.readouterr().err
     assert "refused at evals=0" in err
     assert "quadrature.max_evals = 10000000" in err
+
+
+def test_cli_separable_flux_ignores_crystal_length(capsys):
+    # |F_sep|^2 never reads L, so its integrals start from the same panels
+    # at any length and a long crystal costs what a short one does
+    outputs = []
+    for length in ("1", "3000"):
+        assert main(["flux", "--kind", "separable", "--length", length]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_oracle_check_refuses_samples_past_the_ceiling(capsys):
