@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 
+# amplitude-grid points per axis (16.8 M nodes), checked before any allocation
+MAX_GRID_N = 4096
+
 
 class _UsageError(Exception):
     pass
@@ -72,7 +75,7 @@ def _build_parser() -> _Parser:
     grid = sub.add_parser("amplitude-grid", help="dump the reduced amplitude on an n x n grid")
     add_config_options(grid)
     grid.add_argument("--kind", default="entangled", choices=[k.value for k in AmplitudeKind])
-    grid.add_argument("--n", type=int, default=101, help="grid points per axis")
+    grid.add_argument("--n", type=int, default=101, help=f"grid points per axis, 2 to {MAX_GRID_N}")
     grid.add_argument("--out", help="output CSV path (default stdout)")
 
     sweep = sub.add_parser("sweep", help="run a preset parameter sweep")
@@ -130,8 +133,8 @@ def _cmd_flux(args) -> int:
 def _cmd_amplitude_grid(args) -> int:
     cfg = _load_base_config(args)
     kind = AmplitudeKind(args.kind)
-    if args.n < 2:
-        raise _UsageError(f"--n must be >= 2, got {args.n}")
+    if not 2 <= args.n <= MAX_GRID_N:
+        raise _UsageError(f"--n must be between 2 and {MAX_GRID_N}, got {args.n}")
     k0 = cfg.k0
     # open square: keep strictly inside the kinematic edge
     edge = k0 * (1.0 - 1e-9)

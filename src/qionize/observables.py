@@ -494,8 +494,7 @@ def _separable_closed_form(cfg: ExperimentConfig, power: int) -> IntegralResult:
     g_max = float(_gauss_moment(np.array([umax]), waist, power)[0])
     value = 2.0 * cfg.k0 * g_max - umax * umax * tail
     err = 8.0 * _EPS * value
-    tol = max(cfg.quadrature.rel_tol * value, cfg.quadrature.abs_tol)
-    return IntegralResult(value, err, 0, err <= tol, "closed_form")
+    return IntegralResult(value, err, 0, err <= cfg.quadrature.tolerance(value), "closed_form")
 
 
 def _paraxial_entangled(cfg: ExperimentConfig, power: int) -> IntegralResult:
@@ -541,8 +540,8 @@ def _paraxial_entangled(cfg: ExperimentConfig, power: int) -> IntegralResult:
     # integral of g_p, the separable integral. mpmath references measure
     # at most one such unit; eight of them are added.
     err = result.error_estimate + 8.0 * _EPS * _separable_closed_form(cfg, power).value
-    tol = max(cfg.quadrature.rel_tol * abs(result.value), cfg.quadrature.abs_tol)
-    return replace(result, error_estimate=err, converged=result.converged and err <= tol)
+    converged = result.converged and err <= cfg.quadrature.tolerance(result.value)
+    return replace(result, error_estimate=err, converged=converged)
 
 
 def _twice(result: IntegralResult) -> IntegralResult:

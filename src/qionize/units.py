@@ -56,13 +56,16 @@ class Reduction(enum.Enum):
 class QuadratureSpec:
     """Deterministic integration controls shared by all quadrature calls.
 
-    converged results satisfy
-    error_estimate <= max(rel_tol * |value|, abs_tol).
+    converged results satisfy error_estimate <= tolerance(value).
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
     max_evals: int = 10_000_000
+
+    def tolerance(self, value: float) -> float:
+        """The largest error a converged estimate of value may carry."""
+        return max(self.rel_tol * abs(value), self.abs_tol)
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0.0:

@@ -130,7 +130,7 @@ def test_flux_collinear_limit_exact_regime():
 def test_flux_regime_agreement_narrowband():
     # stated: exact and paraxial fluxes agree within 1% once the narrowband
     # guard is comfortably satisfied. Measured: the ratio is pi/4 + O(1/w)
-    # (0.7856229867709091 at w = 50 um) for the same reason as the collinear
+    # (0.7856229797289185 at w = 50 um) for the same reason as the collinear
     # limit; the deficit never shrinks with the pump waist.
     exact = photon_flux(AmplitudeKind.SEPARABLE, ExperimentConfig(pump_waist_um=50.0))
     par = photon_flux(
@@ -245,7 +245,7 @@ def test_obliquity_and_normalization_bounds():
 
 def test_deep_paraxial_corner_regime_agreement():
     # stated: exact and paraxial ratios agree within 5% for a wide pump and a
-    # long crystal. Measured: the relative deviation is 0.2140417028240469 at
+    # long crystal. Measured: the relative deviation is 0.2140416995169132 at
     # w = 50 um, L = 100 um; the obliquity deficit keeps the two apart no
     # matter how paraxial the configuration looks.
     exact = enhancement_ratio(ExperimentConfig(pump_waist_um=50.0, crystal_length_um=100.0))

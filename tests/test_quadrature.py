@@ -202,6 +202,10 @@ def test_invalid_domain_rejected():
         integrate_2d(lambda x, y: x, ((0.0, 1.0), (2.0, 1.0)), TIGHT)
     with pytest.raises(DomainError):
         integrate_2d(lambda x, y: x, ((0.0, math.inf), (0.0, 1.0)), TIGHT)
+    # one starting panel count per axis, no more and no fewer
+    for panels in ((2, 2, 2), (2,)):
+        with pytest.raises(DomainError, match="initial_panels"):
+            integrate_2d(lambda x, y: x, ((0.0, 1.0), (0.0, 1.0)), TIGHT, panels)
 
 
 def test_convergence_error_carries_results():
@@ -222,38 +226,57 @@ def test_determinism_same_spec_same_bits():
     assert r1.evals == r2.evals
 
 
-def _fsum_reference(f, x0, x1, y0, y1, nx, ny):
-    # exact sum of the rounded products wx_i wy_j f_ij over the whole grid
-    x, wx = quadrature._panel_rule(x0, x1, nx, quadrature._GL16_X, quadrature._GL16_W)
-    y, wy = quadrature._panel_rule(y0, y1, ny, quadrature._GL16_X, quadrature._GL16_W)
+def _fsum_reference(f, axes, panels):
+    # exact sum of the rounded products of weights and values over the whole
+    # grid: one axis of pieces, or two one-piece axes
+    rules = [
+        [quadrature._panel_rule(a, b, n) for a, b, n in zip(edges, edges[1:], counts)]
+        for edges, counts in zip(axes, panels)
+    ]
+    if len(rules) == 1:
+        return math.fsum(t for x, w in rules[0] for t in (w * f(x)).tolist())
+    (x, wx), = rules[0]
+    (y, wy), = rules[1]
     terms = wx[:, None] * wy[None, :] * f(x[:, None], y[None, :])
     return math.fsum(terms.ravel().tolist())
 
 
+def _smooth_2d(x, y):
+    return np.exp(-0.3 * x * x) * np.cos(5.0 * y + x) + 0.25 * x * y
+
+
+def _smooth_1d(x):
+    return np.exp(-0.3 * x * x) * np.cos(5.0 * x + 1.0) + 0.25 * x
+
+
 @pytest.mark.parametrize(
-    "nx, ny",
+    "f, axes, panels, pinned_value",
     [
         # a few rows per block, row count not a multiple of the block rows
-        (50, 3),
+        pytest.param(_smooth_2d, [(-1.0, 2.0), (-0.5, 1.5)], [[50], [3]], None, id="50-3"),
         # a y axis longer than BLOCK_NODES: one row per block
-        (1, quadrature.BLOCK_NODES // 16 + 1),
+        pytest.param(
+            _smooth_2d, [(-1.0, 2.0), (-0.5, 1.5)], [[1], [quadrature.BLOCK_NODES // 16 + 1]], None,
+            id="1-1025",
+        ),
+        # two pieces, the first 17600 nodes long: blocks stop at its edge,
+        # and the in-order sum of piece blocks is pinned bit for bit
+        pytest.param(
+            _smooth_1d, [(-1.0, 0.25, 2.0)], [[1100, 3]], 0.21612022581486495, id="1100-3-pieces"
+        ),
     ],
 )
-def test_tensor_eval_blocks_match_fsum(nx, ny):
-    rows = quadrature.BLOCK_NODES // (16 * ny)
+def test_grid_sum_blocks_match_fsum(f, axes, panels, pinned_value):
+    sizes = [16 * sum(counts) for counts in panels]
+    rows = quadrature.BLOCK_NODES // math.prod(sizes[1:])
     if rows > 0:
-        assert (16 * nx) % rows != 0
-
-    def f(x, y):
-        return np.exp(-0.3 * x * x) * np.cos(5.0 * y + x) + 0.25 * x * y
-
-    x0, x1, y0, y1 = -1.0, 2.0, -0.5, 1.5
-    value, evals = quadrature._tensor_eval(
-        f, x0, x1, y0, y1, nx, ny, quadrature._GL16_X, quadrature._GL16_W
-    )
-    reference = _fsum_reference(f, x0, x1, y0, y1, nx, ny)
+        assert (16 * panels[0][0]) % rows != 0
+    value, evals = quadrature._grid_sum(f, axes, panels)
+    reference = _fsum_reference(f, axes, panels)
     assert abs(value - reference) <= 1e-13 * abs(reference)
-    assert evals == nx * ny * 256
+    assert evals == math.prod(sizes)
+    if pinned_value is not None:
+        assert value == pinned_value
 
 
 def test_wrong_shape_integrand_raises_domain_error_naming_shape():
@@ -400,7 +423,7 @@ def test_integrate_1d_never_overdraws_its_budget(max_evals):
      ((0.0, 1.0, 2.0), (4,)), ("ab", None)],
 )
 def test_integrate_1d_rejects_malformed_pieces(edges, panels):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="initial_panels" if panels else None):
         integrate_1d(lambda x: x, edges, TIGHT, panels)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import qionize
 from qionize import sweep
-from qionize.cli import main
+from qionize.cli import MAX_GRID_N, main
 from qionize.observables import INTEGRALS, enhancement_ratio
 from qionize.sweep import (
     AXIS_NAMES,
@@ -436,7 +436,12 @@ def test_cli_amplitude_grid(tmp_path, capsys):
     assert len(lines) == 1 + 32 * 32
     kix, ksx, amp = (float(tok) for tok in lines[1].split(","))
     assert abs(kix) < 19.1 and abs(ksx) < 19.1 and np.isfinite(amp)
-    assert main(["amplitude-grid", "--n", "1"]) == 1
+    capsys.readouterr()
+    # too few points, and too many to allocate (a 1e5 x 1e5 grid is 74.5 GiB)
+    for n in ("1", str(MAX_GRID_N + 1), "100000"):
+        assert main(["amplitude-grid", "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert "--n" in err and "Traceback" not in err
 
 
 def test_cli_sweep_writes_both_formats(tmp_path, capsys):
