@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 import numpy as np
@@ -140,17 +141,14 @@ def _cmd_amplitude_grid(args) -> int:
     edge = k0 * (1.0 - 1e-9)
     axis = np.linspace(-edge, edge, args.n)
     values = eval_reduced((axis[:, None], axis[None, :]), cfg, kind)
-    lines = ["kix_per_um,ksx_per_um,amplitude"]
-    for i in range(args.n):
-        for j in range(args.n):
-            # plain-float repr keeps the cells parseable and exact
-            lines.append(f"{float(axis[i])!r},{float(axis[j])!r},{float(values[i, j])!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # plain-float repr keeps the cells parseable and exact
+    cells = [repr(x) for x in axis.tolist()]
+    target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with target as fh:
+        fh.write("kix_per_um,ksx_per_um,amplitude\n")
+        # one grid row at a time, so memory stays at the size of the values
+        for kix, row in zip(cells, values):
+            fh.write("".join(f"{kix},{ksx},{v!r}\n" for ksx, v in zip(cells, row.tolist())))
     return EXIT_OK
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "photon_flux",
     "f_factor",
     "INTEGRALS",
+    "CONVENTIONS",
     "ratio_from_integrals",
     "enhancement_ratio",
 ]
@@ -81,11 +82,10 @@ class _Workspace(threading.local):
 
 
 # (first row, row count) of each user of the workspace: the integrand's
-# u, jac_u, kix, ksx and _reduced_amplitude's four arrays, the averaged
-# kernel's two results, and TabulatedKernel.evaluate's scratch
+# u, jac_u, kix, ksx and _reduced_amplitude's four arrays, and the averaged
+# kernel's two results and six interpolation scratch rows
 _INTEGRAND_ROWS = (0, 8)
-_EVEN_KERNEL_ROWS = (8, 2)
-_KERNEL_SCRATCH = (10, 6)
+_EVEN_KERNEL_ROWS = (8, 8)
 _WORKSPACE_ROWS = 16
 _WORKSPACE = _Workspace()
 
@@ -130,35 +130,28 @@ class TabulatedKernel:
     def __hash__(self) -> int:
         return hash((self.name, self.values.shape, (self.values + 0.0).tobytes()))
 
-    def evaluate(self, kix, ksx, k0: float, out: Optional[np.ndarray] = None):
+    def evaluate(self, kix, ksx, k0: float):
         """Bilinear interpolation at (kix, ksx) for central wavenumber k0.
 
-        out, a float array of the broadcast shape of kix and ksx other than
-        either of them, receives the values and is returned; the call then
-        takes its scratch from the module workspace (see _Workspace) and
-        allocates nothing of that shape. Without out a scalar pair gives a
-        float.
+        A scalar pair gives a float, arrays an array of their broadcast shape.
         """
         if not k0 > 0.0:
             raise DomainError(f"k0 must be > 0, got {k0!r}")
         kix_arr = np.asarray(kix, dtype=float)
         ksx_arr = np.asarray(ksx, dtype=float)
         shape = np.broadcast_shapes(kix_arr.shape, ksx_arr.shape)
-        if out is None:
-            value = np.empty(shape)
-            scratch = [np.empty(shape) for _ in range(_KERNEL_SCRATCH[1])]
-        else:
-            value = out
-            scratch = _WORKSPACE.rows(shape, *_KERNEL_SCRATCH)
-        self._interpolate(kix_arr, ksx_arr, k0, value, scratch)
-        if out is None and np.ndim(kix) == 0 and np.ndim(ksx) == 0:
+        value = np.empty(shape)
+        self._interpolate(kix_arr, ksx_arr, k0, value, [np.empty(shape) for _ in range(6)])
+        if np.ndim(kix) == 0 and np.ndim(ksx) == 0:
             return float(value)
         return value
 
     def _interpolate(self, kix, ksx, k0: float, value, scratch) -> None:
-        # the whole-array formula v00 (1 - fi)(1 - fs) + v10 fi (1 - fs)
-        # + v01 (1 - fi) fs + v11 fi fs, one in-place step at a time in its
-        # operation order; table entries come from the flat table by index
+        # value and the six scratch arrays are float arrays of the broadcast
+        # shape of the float arrays kix and ksx, and k0 > 0. The whole-array
+        # formula v00 (1 - fi)(1 - fs) + v10 fi (1 - fs) + v01 (1 - fi) fs
+        # + v11 fi fs, one in-place step at a time in its operation order;
+        # table entries come from the flat table by index
         ni, ns = self.values.shape
         fi, fs, cell, cell_s, gi, term = scratch
         idx, idx_s = cell.view(np.int64), cell_s.view(np.int64)
@@ -321,6 +314,17 @@ INTEGRALS: Mapping[str, Tuple[AmplitudeKind, int, bool]] = {
 }
 
 
+# The model's conventions, read by the reduced integrals, the Monte Carlo
+# oracle, RatioResult.diagnostics and the sweep file headers: the paraxial
+# obliquity kiz/|ki| + ksz/|ks| is a constant, and the pump sum u is cut at
+# pump_truncation_sigmas / omega_p (error bound exp(-sigmas^2 / 2)).
+CONVENTIONS: Mapping[str, object] = {
+    "obliquity_exact": "per-photon kz/|k| summed",
+    "obliquity_paraxial": 2.0,
+    "pump_truncation_sigmas": 10.0,
+}
+
+
 def _c_quantity(i2: float) -> Quantity:
     return Quantity(1.0 / math.sqrt(i2), FilterFactor(g2=-1))
 
@@ -334,9 +338,10 @@ def _phi_quantity(i2: float, i2w: float) -> Quantity:
 
 
 def _umax(cfg: ExperimentConfig) -> float:
-    # pump tails truncated at 10/omega_p (error bound exp(-50)) or the
-    # kinematic edge |u| = 2 k0, whichever is tighter
-    return min(10.0 / cfg.pump_waist_um, 2.0 * cfg.k0 * (1.0 - 1e-12))
+    # pump tails truncated (see CONVENTIONS) or the kinematic edge
+    # |u| = 2 k0, whichever is tighter
+    sigmas = CONVENTIONS["pump_truncation_sigmas"]
+    return min(sigmas / cfg.pump_waist_um, 2.0 * cfg.k0 * (1.0 - 1e-12))
 
 
 def _even_kernel(kernel: TabulatedKernel, k0: float) -> Callable:
@@ -358,10 +363,10 @@ def _even_kernel(kernel: TabulatedKernel, k0: float) -> Callable:
 
     def even(kix, ksx):
         shape = np.broadcast_shapes(np.shape(kix), np.shape(ksx))
-        a, b = _WORKSPACE.rows(shape, *_EVEN_KERNEL_ROWS)
-        table.evaluate(kix, ksx, k0, out=a)
+        a, b, *scratch = _WORKSPACE.rows(shape, *_EVEN_KERNEL_ROWS)
+        table._interpolate(kix, ksx, k0, a, scratch)
         if not square:
-            table.evaluate(ksx, kix, k0, out=b)
+            table._interpolate(ksx, kix, k0, b, scratch)
             np.multiply(np.add(a, b, out=a), 0.5, out=a)
         return a
 
@@ -420,7 +425,7 @@ def _reduced_integrand(
             np.multiply(value, value, out=value)
         if obliquity:
             if paraxial:
-                np.multiply(value, 2.0, out=value)
+                np.multiply(value, CONVENTIONS["obliquity_paraxial"], out=value)
             else:
                 # an exact entangled amplitude has left kiz + ksz in work[1]
                 kz_sum = work[1] if entangled else _kz_sum(kix, ksx, k0, work[1], work[2])
@@ -544,10 +549,11 @@ def _paraxial_entangled(cfg: ExperimentConfig, power: int) -> IntegralResult:
     return replace(result, error_estimate=err, converged=converged)
 
 
-def _twice(result: IntegralResult) -> IntegralResult:
-    """2 * result, no evals of its own: paraxial I2w from I2, the obliquity being 2."""
+def _paraxial_i2w(result: IntegralResult) -> IntegralResult:
+    """Paraxial I2w from I2, no evals of its own: the constant obliquity times I2."""
+    w = CONVENTIONS["obliquity_paraxial"]
     return IntegralResult(
-        2.0 * result.value, 2.0 * result.error_estimate, 0, result.converged, "twice_I2"
+        w * result.value, w * result.error_estimate, 0, result.converged, "twice_I2"
     )
 
 
@@ -559,7 +565,7 @@ def _reduced_integrals(
     A kernel weights the coherent integrals I1 only. Each integral takes its
     cheapest exact route, named by its result's method:
     - paraxial, unweighted: I1_sep and I2_sep in closed form, I1_ent and
-      I2_ent by integrate_1d over v, I2w = 2 * I2 bit for bit;
+      I2_ent by integrate_1d over v, I2w the paraxial obliquity times I2;
     - otherwise one call of the module-global integrate_2d, looked up at
       call time; the exact regime makes its six calls in INTEGRALS order.
       Without a kernel the separable integrands never read L and start
@@ -576,12 +582,12 @@ def _reduced_integrals(
         weighted = kernel is not None and power == 1
         separable = kind is AmplitudeKind.SEPARABLE
         if paraxial and not weighted:
-            # I2w = 2 * I2, the paraxial obliquity being 2: each norm runs once
+            # I2w is the constant paraxial obliquity times I2: each norm runs once
             norm = name.replace("I2w", "I2")
             if norm not in computed:
                 route = _separable_closed_form if separable else _paraxial_entangled
                 computed[norm] = route(cfg, power)
-            computed[name] = computed[norm] if norm == name else _twice(computed[norm])
+            computed[name] = computed[norm] if norm == name else _paraxial_i2w(computed[norm])
         else:
             f = _reduced_integrand(cfg, kind, power, obliquity, even_kernel if weighted else None)
             panels = _initial_panels(cfg, reads_length=kernel is not None or not separable)
@@ -740,12 +746,7 @@ def enhancement_ratio(
     diagnostics: Dict[str, object] = dict(integrals)
     kernel = channel.kernel
     diagnostics["kernel"] = "none" if kernel is None else f"model_kernel:{kernel.name}"
-    diagnostics["conventions"] = {
-        "obliquity_exact": "per-photon kz/|k| summed",
-        "obliquity_paraxial": 2.0,
-        "pump_truncation_sigmas": 10.0,
-        "filter_factor_R": str(ratio.factor),
-    }
+    diagnostics["conventions"] = {**CONVENTIONS, "filter_factor_R": str(ratio.factor)}
 
     return RatioResult(
         R=ratio.value,

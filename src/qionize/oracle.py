@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .amplitude import AmplitudeKind, _entangling_6d, _separable_6d
-from .observables import DIPOLE, INTEGRALS, Channel, KernelError, ratio_from_integrals
+from .observables import CONVENTIONS, DIPOLE, INTEGRALS, Channel, KernelError, ratio_from_integrals
 from .quadrature import ConvergenceError, IntegralResult
 from .units import DomainError, ExperimentConfig, Reduction, Regime
 
@@ -257,7 +257,7 @@ def mc_enhancement_ratio(
         f_sep, mag_i, mag_s = _separable_6d(ki, ks, cfg_eff)
         f_ent = f_sep * _entangling_6d(ki, ks, mag_i, mag_s, cfg_eff)
         amplitudes = {AmplitudeKind.ENTANGLED: f_ent, AmplitudeKind.SEPARABLE: f_sep}
-        obliquity = 2.0 if paraxial else ki[2] / mag_i + ks[2] / mag_s
+        obliquity = CONVENTIONS["obliquity_paraxial"] if paraxial else ki[2] / mag_i + ks[2] / mag_s
         # one expression per sum, so that numpy reuses its temporaries in place
         sums = [np.sum(weights * amplitudes[kind] ** power * obliquity) if weighted
                 else np.sum(weights * amplitudes[kind] ** power)

@@ -14,13 +14,20 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .observables import Channel, RatioResult, _initial_panels, builtin_channels, enhancement_ratio
+from .observables import (
+    CONVENTIONS,
+    Channel,
+    RatioResult,
+    _initial_panels,
+    builtin_channels,
+    enhancement_ratio,
+)
 from .units import ConfigError, ExperimentConfig, Regime
 
 __all__ = [
@@ -143,34 +150,19 @@ def _evaluate_point(task) -> SweepRecord:
     cfg, channel = task
     try:
         result: RatioResult = enhancement_ratio(cfg, channel, strict=False)
-        return SweepRecord(
-            L_um=cfg.crystal_length_um,
-            omega_p_um=cfg.pump_waist_um,
-            channel=channel.name,
-            regime=cfg.regime.value,
-            R=result.R,
-            f_ent=result.f_ent.value,
-            f_sep=result.f_sep.value,
-            C_ratio=result.C_ratio,
-            err_R=result.err_R,
-            converged=result.converged,
-            config=cfg,
-        )
+        outcome = dict(R=result.R, f_ent=result.f_ent.value, f_sep=result.f_sep.value,
+                       C_ratio=result.C_ratio, err_R=result.err_R, converged=result.converged)
     except Exception as exc:  # per-point resilience: the row records the failure
-        return SweepRecord(
-            L_um=cfg.crystal_length_um,
-            omega_p_um=cfg.pump_waist_um,
-            channel=channel.name,
-            regime=cfg.regime.value,
-            R=math.nan,
-            f_ent=math.nan,
-            f_sep=math.nan,
-            C_ratio=math.nan,
-            err_R=math.nan,
-            converged=False,
-            config=cfg,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        outcome = dict.fromkeys(("R", "f_ent", "f_sep", "C_ratio", "err_R"), math.nan)
+        outcome.update(converged=False, error=f"{type(exc).__name__}: {exc}")
+    return SweepRecord(
+        L_um=cfg.crystal_length_um,
+        omega_p_um=cfg.pump_waist_um,
+        channel=channel.name,
+        regime=cfg.regime.value,
+        config=cfg,
+        **outcome,
+    )
 
 
 def run_sweep(
@@ -215,58 +207,45 @@ class SweepPreset:
     metadata: Dict[str, str] = field(default_factory=dict)
 
 
-def _preset_fig2a() -> SweepPreset:
-    plan = SweepPlan(
-        axis1=SweepAxis("crystal_length_um", _log_grid(0.01, 100.0, 25)),
-        axis2=SweepAxis("pump_waist_um", _log_grid(1.0, 100.0, 25)),
-        regimes=(Regime.EXACT, Regime.PARAXIAL),
-    )
-    return SweepPreset(
+# each preset once, keyed by its own name; plan and base are frozen, so
+# load_preset hands out copies with a fresh metadata dict only
+_PRESETS: Dict[str, SweepPreset] = {preset.name: preset for preset in (
+    SweepPreset(
         name="fig2a",
         description="enhancement over the length x waist plane, both regimes",
-        plan=plan,
+        plan=SweepPlan(
+            axis1=SweepAxis("crystal_length_um", _log_grid(0.01, 100.0, 25)),
+            axis2=SweepAxis("pump_waist_um", _log_grid(1.0, 100.0, 25)),
+            regimes=(Regime.EXACT, Regime.PARAXIAL),
+        ),
         base=ExperimentConfig(),
         metadata={"grid": "25x25 log10 over L in [0.01,100] um, pump waist in [1,100] um"},
-    )
-
-
-def _preset_fig2b() -> SweepPreset:
-    plan = SweepPlan(
-        axis1=SweepAxis("crystal_length_um", _log_grid(0.01, 100.0, 40)),
-        axis2=SweepAxis("pump_waist_um", (3.0, 10.0, 50.0)),
-        regimes=(Regime.EXACT,),
-    )
-    return SweepPreset(
+    ),
+    SweepPreset(
         name="fig2b",
         description="enhancement vs crystal length at three pump waists",
-        plan=plan,
+        plan=SweepPlan(
+            axis1=SweepAxis("crystal_length_um", _log_grid(0.01, 100.0, 40)),
+            axis2=SweepAxis("pump_waist_um", (3.0, 10.0, 50.0)),
+            regimes=(Regime.EXACT,),
+        ),
         base=ExperimentConfig(),
         metadata={"grid": "40 log10 points, L in [0.01,100] um; waists {3,10,50} um"},
-    )
-
-
-def _preset_fig2c() -> SweepPreset:
-    plan = SweepPlan(
-        axis1=SweepAxis("pump_waist_um", _log_grid(1.0, 100.0, 40)),
-        regimes=(Regime.EXACT,),
-    )
-    return SweepPreset(
+    ),
+    SweepPreset(
         name="fig2c",
         description="enhancement vs pump waist at fixed crystal length",
-        plan=plan,
+        plan=SweepPlan(
+            axis1=SweepAxis("pump_waist_um", _log_grid(1.0, 100.0, 40)),
+            regimes=(Regime.EXACT,),
+        ),
         base=ExperimentConfig(crystal_length_um=1.0),
         metadata={
             "grid": "40 log10 points, pump waist in [1,100] um",
             "assumed_crystal_length_um": "1.0",
         },
-    )
-
-
-_PRESETS = {
-    "fig2a": _preset_fig2a,
-    "fig2b": _preset_fig2b,
-    "fig2c": _preset_fig2c,
-}
+    ),
+)}
 
 
 def preset_names() -> Tuple[str, ...]:
@@ -274,11 +253,12 @@ def preset_names() -> Tuple[str, ...]:
 
 
 def load_preset(name: str) -> SweepPreset:
+    """The named preset, with a metadata dict of its own that the caller may change."""
     try:
-        factory = _PRESETS[name]
+        preset = _PRESETS[name]
     except KeyError:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}") from None
-    return factory()
+    return replace(preset, metadata=dict(preset.metadata))
 
 
 def _format_cell(value) -> str:
@@ -292,8 +272,9 @@ def _format_cell(value) -> str:
 def _header_comments(metadata: Optional[Dict[str, str]]) -> List[str]:
     lines = [
         f"# qionize {__version__}",
-        "# convention: obliquity exact = per-photon kz/|k| summed; paraxial = 2",
-        "# convention: pump tails truncated at 10 sigma",
+        f"# convention: obliquity exact = {CONVENTIONS['obliquity_exact']}; "
+        f"paraxial = {CONVENTIONS['obliquity_paraxial']:g}",
+        f"# convention: pump tails truncated at {CONVENTIONS['pump_truncation_sigmas']:g} sigma",
         "# units: lengths um, wavenumbers 1/um",
     ]
     for key in sorted(metadata or {}):

@@ -782,6 +782,16 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _averaged_evaluate(kern, kix, ksx, k0):
+    # the averaged table's evaluate, as _even_kernel documents it: one
+    # table for a square grid, exchange on the fly for a non-square one
+    v = kern.values + kern.values[::-1, ::-1]
+    if v.shape[0] == v.shape[1]:
+        return TabulatedKernel(kern.name, 0.25 * (v + v.T)).evaluate(kix, ksx, k0)
+    half = TabulatedKernel(kern.name, 0.5 * v)
+    return (half.evaluate(kix, ksx, k0) + half.evaluate(ksx, kix, k0)) * 0.5
+
+
 @pytest.mark.parametrize("shape", [(101, 101), (33, 17)])
 def test_kernel_evaluate_bit_identical_to_array_formula(shape):
     rng = np.random.default_rng(2026)
@@ -796,23 +806,24 @@ def test_kernel_evaluate_bit_identical_to_array_formula(shape):
     ksx[:5] = (k0, -k0, k0, -k0, 0.0)
     want = _bilinear_formula(kern.values, kix, ksx, k0)
     assert _same_bits(kern.evaluate(kix, ksx, k0), want)
-    out = np.empty(n)
-    assert kern.evaluate(kix, ksx, k0, out=out) is out
-    assert _same_bits(out, want)
-    # broadcast 2-D input, with and without out
+    # the averaged kernel interpolates into workspace rows with the same
+    # bits as the averaged table's evaluate; its result is a workspace view
+    even = observables._even_kernel(kern, k0)
+    assert _same_bits(even(kix, ksx), _averaged_evaluate(kern, kix, ksx, k0))
+    # broadcast 2-D input
     col, row = kix[:300, None], ksx[None, :200]
     want = _bilinear_formula(kern.values, col, row, k0)
     assert _same_bits(kern.evaluate(col, row, k0), want)
-    assert _same_bits(kern.evaluate(col, row, k0, out=np.empty((300, 200))), want)
-    # a scalar pair gives a float; 0-d arrays with out give the out array
+    assert _same_bits(even(col, row), _averaged_evaluate(kern, col, row, k0))
+    # a scalar pair gives a float; 0-d arrays give a 0-d array of the averaged kernel
     for a, b in ((0.3 * k0, -0.7 * k0), (k0, -k0), (2.0 * k0, 0.0)):
         want = _bilinear_formula(kern.values, a, b, k0)
         got = kern.evaluate(a, b, k0)
         assert isinstance(got, float)
         assert _same_bits(got, want)
-        out = np.empty(())
-        assert kern.evaluate(np.array(a), np.array(b), k0, out=out) is out
-        assert _same_bits(out, want)
+        got = even(np.array(a), np.array(b))
+        assert got.shape == ()
+        assert _same_bits(got, _averaged_evaluate(kern, a, b, k0))
 
 
 def test_kernel_roundtrip(tmp_path):

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 import qionize
 from qionize import sweep
 from qionize.cli import MAX_GRID_N, main
-from qionize.observables import INTEGRALS, enhancement_ratio
+from qionize.observables import DIPOLE, INTEGRALS, enhancement_ratio
 from qionize.sweep import (
     AXIS_NAMES,
     CSV_COLUMNS,
@@ -212,18 +213,49 @@ def test_preset_catalog():
         load_preset("fig9")
 
 
+# each preset field for field: description, metadata, base config,
+# regimes, channels, and per axis its name, length and first and last value
+_PRESET_FIELDS = {
+    "fig2a": (
+        "enhancement over the length x waist plane, both regimes",
+        {"grid": "25x25 log10 over L in [0.01,100] um, pump waist in [1,100] um"},
+        ExperimentConfig(),
+        (Regime.EXACT, Regime.PARAXIAL),
+        [("crystal_length_um", 25, 0.01, 100.0), ("pump_waist_um", 25, 1.0, 100.0)],
+    ),
+    "fig2b": (
+        "enhancement vs crystal length at three pump waists",
+        {"grid": "40 log10 points, L in [0.01,100] um; waists {3,10,50} um"},
+        ExperimentConfig(),
+        (Regime.EXACT,),
+        [("crystal_length_um", 40, 0.01, 100.0), ("pump_waist_um", 3, 3.0, 50.0)],
+    ),
+    "fig2c": (
+        "enhancement vs pump waist at fixed crystal length",
+        {"grid": "40 log10 points, pump waist in [1,100] um", "assumed_crystal_length_um": "1.0"},
+        ExperimentConfig(crystal_length_um=1.0),
+        (Regime.EXACT,),
+        [("pump_waist_um", 40, 1.0, 100.0)],
+    ),
+}
+
+
 def test_preset_shapes():
-    a = load_preset("fig2a")
-    assert len(a.plan.axis1.values) == 25
-    assert len(a.plan.axis2.values) == 25
-    assert a.plan.regimes == (Regime.EXACT, Regime.PARAXIAL)
-    b = load_preset("fig2b")
-    assert b.plan.axis2.values == (3.0, 10.0, 50.0)
-    assert b.plan.regimes == (Regime.EXACT,)
-    c = load_preset("fig2c")
-    assert c.plan.axis2 is None
-    assert c.base.crystal_length_um == 1.0
-    assert c.metadata["assumed_crystal_length_um"] == "1.0"
+    for name, (description, metadata, base, regimes, axes) in _PRESET_FIELDS.items():
+        preset = load_preset(name)
+        assert preset.name == name
+        assert preset.description == description, name
+        assert preset.metadata == metadata, name
+        assert preset.base == base, name
+        assert preset.plan.regimes == regimes, name
+        assert preset.plan.channels == (DIPOLE,), name
+        plan_axes = [a for a in (preset.plan.axis1, preset.plan.axis2) if a is not None]
+        got = [(a.name, len(a.values), a.values[0], a.values[-1]) for a in plan_axes]
+        assert got == axes, name
+        # every call hands out its own metadata: a caller's edit stays local
+        preset.metadata["note"] = "edited"
+        assert load_preset(name).metadata == metadata, name
+    assert load_preset("fig2b").plan.axis2.values == (3.0, 10.0, 50.0)
 
 
 # ---------------------------------------------------------------- writers
@@ -442,6 +474,17 @@ def test_cli_amplitude_grid(tmp_path, capsys):
         assert main(["amplitude-grid", "--n", n]) == 1
         err = capsys.readouterr().err
         assert "--n" in err and "Traceback" not in err
+    # the CSV is written one grid row at a time: the traced peak stays within
+    # a few copies of the values, far below the 11 MB of text at --n 512
+    n = 512
+    tracemalloc.start()
+    try:
+        assert main(["amplitude-grid", "--n", str(n), "--out", path]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) > 10 * 2**20
+    assert peak <= 8 * n * n * 8, peak
 
 
 def test_cli_sweep_writes_both_formats(tmp_path, capsys):
@@ -482,9 +525,11 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys):
 
 def test_cli_presets(capsys):
     assert main(["presets"]) == 0
-    out = capsys.readouterr().out
-    for name in ("fig2a", "fig2b", "fig2c"):
-        assert name in out
+    assert capsys.readouterr().out.splitlines() == [
+        "fig2a: enhancement over the length x waist plane, both regimes",
+        "fig2b: enhancement vs crystal length at three pump waists",
+        "fig2c: enhancement vs pump waist at fixed crystal length",
+    ]
 
 
 def test_cli_config_file_and_nonconvergence(tmp_path, capsys):
