@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from typing import List, Optional
@@ -157,20 +158,35 @@ def _at_least_one(flag: str, value: Optional[int]) -> None:
         raise _UsageError(f"{flag} must be >= 1, got {value}")
 
 
+def _check_writable(flag: str, path: str) -> None:
+    # before a long computation: the directory must exist and take new
+    # files, and an existing path must be a writable file; nothing is created
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise _UsageError(f"{flag}: directory {directory!r} of {path!r} does not exist")
+    if os.path.exists(path):
+        writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        writable = os.access(directory, os.W_OK | os.X_OK)
+    if not writable:
+        raise _UsageError(f"{flag}: {path!r} is not a writable file")
+
+
 def _cmd_sweep(args) -> int:
     _at_least_one("--workers", args.workers)
     preset = load_preset(args.preset)
-    records = run_sweep(preset.plan, preset.base, workers=args.workers)
-    wrote = []
+    outputs = []
     if args.format in ("csv", "both"):
-        write_csv(records, args.out, preset.metadata)
-        wrote.append(args.out)
+        outputs.append((args.out, write_csv))
     if args.format in ("jsonl", "both"):
-        jsonl_path = args.out if args.format == "jsonl" else args.out + ".jsonl"
-        write_jsonl(records, jsonl_path, preset.metadata)
-        wrote.append(jsonl_path)
+        outputs.append((args.out if args.format == "jsonl" else args.out + ".jsonl", write_jsonl))
+    for path, _ in outputs:
+        _check_writable("--out", path)
+    records = run_sweep(preset.plan, preset.base, workers=args.workers)
+    for path, write in outputs:
+        write(records, path, preset.metadata)
     failed = [r for r in records if not r.converged]
-    print(f"wrote {len(records)} records to {', '.join(wrote)}")
+    print(f"wrote {len(records)} records to {', '.join(path for path, _ in outputs)}")
     if failed:
         print(f"{len(failed)} points failed to converge", file=sys.stderr)
         return EXIT_NOT_CONVERGED

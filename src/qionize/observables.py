@@ -16,7 +16,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .quadrature import (
     BLOCK_NODES,
     ConvergenceError,
     EvenDomain,
+    GridShare,
     IntegralResult,
     integrate_1d,
     integrate_2d,
@@ -82,8 +83,9 @@ class _Workspace(threading.local):
 
 
 # (first row, row count) of each user of the workspace: the integrand's
-# u, jac_u, kix, ksx and _reduced_amplitude's four arrays, and the averaged
-# kernel's two results and six interpolation scratch rows
+# u, jac_u, kix, ksx and _reduced_amplitude's four arrays (the last then
+# holds each term's factors), and the averaged kernel's two results and six
+# interpolation scratch rows
 _INTEGRAND_ROWS = (0, 8)
 _EVEN_KERNEL_ROWS = (8, 8)
 _WORKSPACE_ROWS = 16
@@ -373,14 +375,19 @@ def _even_kernel(kernel: TabulatedKernel, k0: float) -> Callable:
     return even
 
 
-def _reduced_integrand(
+def _reduced_terms(
     cfg: ExperimentConfig,
     kind: AmplitudeKind,
-    power: int,
-    obliquity: bool,
+    terms: Sequence[Tuple[int, bool, bool]],
     even_kernel: Optional[Callable],
 ) -> Callable:
-    """Integrand over angle coordinates (s, t) covering the open rhombus.
+    """Integrand over angle coordinates (s, t) covering the open rhombus, one array per term.
+
+    Each term (power p, obliquity, weighted) is F^p, times the obliquity w
+    if set, times even_kernel if weighted, times the Jacobian: the
+    integrands of the INTEGRALS of one kind. The amplitude, the Jacobian,
+    w and the kernel are computed once per call for all the terms, and each
+    term is formed in the order of the one-term case.
 
     In rotated coordinates u = kix + ksx, v = kix - ksx the domain is the
     rhombus |u| + |v| < 2 k0 intersected with the pump truncation |u| <= umax.
@@ -396,17 +403,19 @@ def _reduced_integrand(
     invariant under both, so the integrand is even in s and in t as long as
     even_kernel is (see _even_kernel); _ANGLE_DOMAIN relies on that.
 
-    A call works in place in the module workspace and returns a fresh
-    array: integrate_2d's row blocks then cost one allocation each, not a
-    few dozen. Each factor is computed where it varies: the paraxial phase
-    matching once per row, kix and ksx only when the exact mismatch, the
-    exact obliquity or a kernel reads them.
+    A call works in place in the module workspace and returns a tuple of
+    fresh arrays, one per term: integrate_2d's row blocks then cost one
+    allocation per term, not a few dozen. Each factor is computed where it
+    varies: the paraxial phase matching once per row, kix and ksx only when
+    the exact mismatch, the exact obliquity or a kernel reads them.
     """
     k0 = cfg.k0
     two_k0 = 2.0 * k0
     paraxial = cfg.regime is Regime.PARAXIAL
     entangled = kind is AmplitudeKind.ENTANGLED
-    reads_kx = even_kernel is not None or (not paraxial and (entangled or obliquity))
+    oblique = any(obliquity for _, obliquity, _ in terms)
+    weighted = any(weight for _, _, weight in terms)
+    reads_kx = weighted or (not paraxial and (entangled or oblique))
     umax = _umax(cfg)
 
     def f(s, t):
@@ -421,21 +430,40 @@ def _reduced_integrand(
             np.multiply(np.add(u, v, out=kix), 0.5, out=kix)
             np.multiply(np.subtract(u, v, out=ksx), 0.5, out=ksx)
         value = _reduced_amplitude(u, v, (kix, ksx) if reads_kx else None, cfg, kind, work)
-        if power == 2:
-            np.multiply(value, value, out=value)
-        if obliquity:
-            if paraxial:
-                np.multiply(value, CONVENTIONS["obliquity_paraxial"], out=value)
-            else:
-                # an exact entangled amplitude has left kiz + ksz in work[1]
-                kz_sum = work[1] if entangled else _kz_sum(kix, ksx, k0, work[1], work[2])
-                np.multiply(value, np.divide(kz_sum, k0, out=kz_sum), out=value)
-        if even_kernel is not None:
-            np.multiply(value, even_kernel(kix, ksx), out=value)
-        # the one fresh array of the call, which a caller may keep
-        return value * np.multiply(0.5 * jac_v, jac, out=jac)
+        w = CONVENTIONS["obliquity_paraxial"]
+        if oblique and not paraxial:
+            # an exact entangled amplitude has left kiz + ksz in work[1]
+            kz_sum = work[1] if entangled else _kz_sum(kix, ksx, k0, work[1], work[2])
+            w = np.divide(kz_sum, k0, out=kz_sum)
+        kernel = even_kernel(kix, ksx) if weighted else None
+        np.multiply(0.5 * jac_v, jac, out=jac)
+        # each term's factors before the Jacobian build up in the free work[3]
+        parts = []
+        for power, obliquity, weight in terms:
+            term = value
+            if power == 2:
+                term = np.multiply(value, value, out=work[3])
+            if obliquity:
+                term = np.multiply(term, w, out=work[3])
+            if weight:
+                term = np.multiply(term, kernel, out=work[3])
+            # the one fresh array of the term, which a caller may keep
+            parts.append(term * jac)
+        return tuple(parts)
 
     return f
+
+
+def _reduced_integrand(
+    cfg: ExperimentConfig,
+    kind: AmplitudeKind,
+    power: int,
+    obliquity: bool,
+    even_kernel: Optional[Callable],
+) -> Callable:
+    """The one-term _reduced_terms as an integrand of its own, weighted by even_kernel if given."""
+    terms = _reduced_terms(cfg, kind, ((power, obliquity, even_kernel is not None),), even_kernel)
+    return lambda s, t: terms(s, t)[0]
 
 
 _HALF_PI = 0.5 * math.pi
@@ -558,7 +586,10 @@ def _paraxial_i2w(result: IntegralResult) -> IntegralResult:
 
 
 def _reduced_integrals(
-    cfg: ExperimentConfig, names: Iterable[str], kernel: Optional[TabulatedKernel] = None
+    cfg: ExperimentConfig,
+    names: Iterable[str],
+    kernel: Optional[TabulatedKernel] = None,
+    grid_nodes: Optional[Dict[str, int]] = None,
 ) -> Dict[str, IntegralResult]:
     """The named INTEGRALS at cfg, in the order of names.
 
@@ -568,20 +599,36 @@ def _reduced_integrals(
       I2_ent by integrate_1d over v, I2w the paraxial obliquity times I2;
     - otherwise one call of the module-global integrate_2d, looked up at
       call time; the exact regime makes its six calls in INTEGRALS order.
-      Without a kernel the separable integrands never read L and start
-      from L -> 0+ panels. A kernel ratio's separable triple keeps the
-      L-dependent start: from L -> 0+ the quadrupole's I2_sep at (50, 3) um
-      lands 7.8e-9 from its closed form instead of 5e-16, moving R 6.2e-9.
+      The 2D integrals of one kind are the terms of one _reduced_terms
+      integrand and share its grids through one GridShare: each grid that
+      any of them refines is evaluated once, while each keeps its own
+      schedule, evals and result. Without a kernel the separable integrands
+      never read L and start from L -> 0+ panels. A kernel ratio's
+      separable triple keeps the L-dependent start: from L -> 0+ the
+      quadrupole's I2_sep at (50, 3) um lands 7.8e-9 from its closed form
+      instead of 5e-16, moving R 6.2e-9.
+    grid_nodes, if given, receives for each kind's value the integrand
+    nodes actually evaluated, over all its routes.
     """
     check_narrowband_guard(cfg)
     paraxial = cfg.regime is Regime.PARAXIAL
     even_kernel = _even_kernel(kernel, cfg.k0) if kernel is not None else None
-    computed: Dict[str, IntegralResult] = {}
+    names = tuple(names)
+    # the 2D integrals of each kind, name -> (power, obliquity, weighted)
+    planar: Dict[AmplitudeKind, Dict[str, Tuple[int, bool, bool]]] = {k: {} for k in AmplitudeKind}
     for name in names:
         kind, power, obliquity = INTEGRALS[name]
         weighted = kernel is not None and power == 1
+        if not paraxial or weighted:
+            planar[kind][name] = (power, obliquity, weighted)
+    shares = {kind: GridShare(_reduced_terms(cfg, kind, tuple(terms.values()), even_kernel))
+              for kind, terms in planar.items()}
+    computed: Dict[str, IntegralResult] = {}
+    for name in names:
+        kind, power, obliquity = INTEGRALS[name]
         separable = kind is AmplitudeKind.SEPARABLE
-        if paraxial and not weighted:
+        terms = planar[kind]
+        if name not in terms:
             # I2w is the constant paraxial obliquity times I2: each norm runs once
             norm = name.replace("I2w", "I2")
             if norm not in computed:
@@ -589,9 +636,18 @@ def _reduced_integrals(
                 computed[norm] = route(cfg, power)
             computed[name] = computed[norm] if norm == name else _paraxial_i2w(computed[norm])
         else:
-            f = _reduced_integrand(cfg, kind, power, obliquity, even_kernel if weighted else None)
+            weight = even_kernel if terms[name][2] else None
+            own = _reduced_integrand(cfg, kind, power, obliquity, weight)
+            f = shares[kind].component(list(terms).index(name), own)
             panels = _initial_panels(cfg, reads_length=kernel is not None or not separable)
             computed[name] = integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, panels)
+    if grid_nodes is not None:
+        for kind, share in shares.items():
+            # the nodes of the shared grids and of the 1D routes
+            grid_nodes[kind.value] = share.nodes + sum(
+                result.evals for name, result in computed.items()
+                if INTEGRALS[name][0] is kind and name not in planar[kind]
+            )
     return {name: computed[name] for name in names}
 
 
@@ -725,6 +781,10 @@ def enhancement_ratio(
     channel defaults to the dipole. Channels with ell > 1 must carry a
     tabulated kernel, which weights the coherent sums and labels the result
     model_kernel. R is ratio_from_integrals of the six INTEGRALS.
+    diagnostics holds each IntegralResult by name, the kernel label, the
+    conventions and grid_nodes: for each kind's value, the integrand nodes
+    actually evaluated, which grids shared by its integrals may keep below
+    the sum of their evals.
     strict=True raises on any non-converged integral;
     strict=False returns the assembled result with converged=False so sweep
     rows can record failures without aborting.
@@ -736,7 +796,8 @@ def enhancement_ratio(
             "attach one with Channel.with_kernel before computing ratios"
         )
     cfg_eff = cfg.replace(channel_energy_ev=channel.transition_energy_ev)
-    integrals = _reduced_integrals(cfg_eff, INTEGRALS, channel.kernel)
+    grid_nodes: Dict[str, int] = {}
+    integrals = _reduced_integrals(cfg_eff, INTEGRALS, channel.kernel, grid_nodes)
     if strict:
         _require_all_converged(integrals, cfg.quadrature.max_evals)
 
@@ -747,6 +808,7 @@ def enhancement_ratio(
     kernel = channel.kernel
     diagnostics["kernel"] = "none" if kernel is None else f"model_kernel:{kernel.name}"
     diagnostics["conventions"] = {**CONVENTIONS, "filter_factor_R": str(ratio.factor)}
+    diagnostics["grid_nodes"] = grid_nodes
 
     return RatioResult(
         R=ratio.value,

@@ -15,7 +15,11 @@ the budget cannot pay for. A 2D caller that passes an EvenDomain promises the
 integrand is even about the centre of each axis; the rule then evaluates
 only the upper half of each axis's nodes, one quadrant of the grid at twice
 the weight, with the panels, refinement and error estimate of the plain
-rectangle. evals and max_evals count the nodes actually evaluated. A grid
+rectangle. evals and max_evals count the nodes of the integral's own rule.
+Integrals whose integrands are components of one vector integrand can share
+its grids through a GridShare: each distinct grid is then evaluated once for
+all of them, so fewer nodes may be evaluated than their evals add up to,
+while every integral keeps its own schedule, evals and result. A grid
 is never built whole: the integrand is called on blocks of about
 BLOCK_NODES nodes, a run of consecutive nodes of one piece of the first
 axis times the whole second axis, and each block is reduced before the
@@ -69,7 +73,9 @@ class IntegralResult:
     """Outcome of one integration.
 
     converged is True exactly when error_estimate <= spec.tolerance(value)
-    was reached; evals never exceed max_evals, and a start the
+    was reached. evals counts the nodes of this integral's own rule and
+    never exceeds max_evals; integrals that share grids through a GridShare
+    may evaluate fewer nodes than their evals add up to. A start the
     budget cannot pay for is refused as (nan, inf, 0, False). A False flag
     is the caller's signal to escalate, never silently absorbed here.
     method names the route: "tensor_gauss" (integrate_2d), "gauss_1d"
@@ -128,45 +134,87 @@ def _panel_rule(a: float, b: float, n_panels: int, even: bool = False):
 
 
 def _grid_sum(f, axes, panels, even=False):
-    # the product rule's sum over the grid and its node count. The first
-    # axis is walked piece by piece in runs of consecutive nodes, each run
-    # times the whole second axis (integrate_2d's, one piece) about
-    # BLOCK_NODES nodes, so the integrand's temporaries stay in cache; the
-    # einsum reductions stay single-threaded (no BLAS) and the partial sums
-    # add in fixed order, so the value depends on nothing but the panels
+    # the product rule's sums over the grid, one per array of the tuple f
+    # returns, and its node count. The first axis is walked piece by piece
+    # in runs of consecutive nodes, each run times the whole second axis
+    # (integrate_2d's, one piece) about BLOCK_NODES nodes, so the
+    # integrand's temporaries stay in cache; the einsum reductions stay
+    # single-threaded (no BLAS) and the partial sums add in fixed order, so
+    # each sum depends on nothing but the panels
     y = wy = None
     if len(axes) == 2:
         (y0, y1), (ny,) = axes[1], panels[1]
         y, wy = _panel_rule(y0, y1, ny, even)
     cols = 1 if y is None else y.size
     rows = max(1, BLOCK_NODES // cols)
-    total, evals = 0.0, 0
+    totals, evals = [], 0
     edges = axes[0]
     for a, b, n in zip(edges, edges[1:], panels[0]):
         x, w = _panel_rule(a, b, n, even)
         for i in range(0, x.size, rows):
             x_blk = x[i : i + rows]
             if y is None:
-                shape, values = x_blk.shape, f(x_blk)
+                shape, parts = x_blk.shape, f(x_blk)
             else:
-                shape, values = (x_blk.size, y.size), f(x_blk[:, None], y[None, :])
-            values = np.asarray(values, dtype=float)
-            if values.shape != shape:
-                raise DomainError(
-                    f"integrand must return shape {shape} on nodes {i}:{i + x_blk.size} "
-                    f"of [{a!r}, {b!r}], got {values.shape}"
-                )
-            if y is not None:
-                values = np.einsum("ij,j->i", values, wy)
-            total += float(np.einsum("i,i->", w[i : i + rows], values))
+                shape, parts = (x_blk.size, y.size), f(x_blk[:, None], y[None, :])
+            if not totals:
+                totals = [0.0] * len(parts)
+            for k, values in enumerate(parts):
+                values = np.asarray(values, dtype=float)
+                if values.shape != shape:
+                    raise DomainError(
+                        f"integrand must return shape {shape} on nodes {i}:{i + x_blk.size} "
+                        f"of [{a!r}, {b!r}], got {values.shape}"
+                    )
+                if y is not None:
+                    values = np.einsum("ij,j->i", values, wy)
+                totals[k] += float(np.einsum("i,i->", w[i : i + rows], values))
         evals += x.size * cols
-    return total, evals
+    return totals, evals
+
+
+class GridShare:
+    """Grid sums of one vector integrand, shared by the integrals of its components.
+
+    f is called like an integrand but returns a tuple of arrays, component i
+    for the i-th integral, each a fresh array or a buffer valid until f's
+    next call. Each distinct grid (axes, panel counts, fold) is evaluated
+    once, for every component, and its sums are kept; nodes counts the
+    nodes evaluated. component(i, g) marks g, the i-th component as an
+    integrand of its own, so that integrate_2d and integrate_1d take its
+    grid sums from here while g keeps its own schedule, evals and result. A
+    wrapper around the marked integrand hides the mark: g is then evaluated
+    on its own grids, and those nodes count as well.
+    """
+
+    def __init__(self, f: Callable) -> None:
+        self._f = f
+        self._sums: dict = {}
+        self.nodes = 0
+
+    def component(self, index: int, g: Callable) -> Callable:
+        def marked(*nodes):
+            values = g(*nodes)
+            self.nodes += np.size(values)
+            return values
+
+        marked.grid_share = self, index
+        return marked
+
+    def grid_sum(self, index: int, axes, panels, even: bool) -> Tuple[float, int]:
+        key = (tuple(axes), tuple(tuple(counts) for counts in panels), even)
+        if key not in self._sums:
+            self._sums[key] = _grid_sum(self._f, axes, panels, even)
+            self.nodes += self._sums[key][1]
+        sums, evals = self._sums[key]
+        return sums[index], evals
 
 
 def _refine(f, axes, spec: Optional[QuadratureSpec], initial_panels, even=False) -> IntegralResult:
     # the one refinement loop: axes are tuples of piece edges, and
     # initial_panels holds one starting count per piece, axis after axis
     spec = spec if spec is not None else QuadratureSpec()
+    share, index = getattr(f, "grid_share", None) or (GridShare(lambda *nodes: (f(*nodes),)), 0)
     hints = tuple(initial_panels)
     pieces = [len(edges) - 1 for edges in axes]
     if len(hints) != sum(pieces):
@@ -200,11 +248,11 @@ def _refine(f, axes, spec: Optional[QuadratureSpec], initial_panels, even=False)
             return IntegralResult(best, err, evals, False, method)
         if evals == 0:
             panels = [[int(n) for n in counts] for counts in panels]
-            value, evals = _grid_sum(f, axes, panels, even)
+            value, evals = share.grid_sum(index, axes, panels, even)
         trials = {}
         for a in live:
             doubled = [[2 * n for n in c] if b == a else c for b, c in enumerate(panels)]
-            trial, n = _grid_sum(f, axes, doubled, even)
+            trial, n = share.grid_sum(index, axes, doubled, even)
             evals += n
             deltas[a] = abs(trial - value)
             trials[a] = doubled, trial
@@ -248,8 +296,11 @@ def integrate_2d(
 
     An EvenDomain promises f(x0 + x1 - x, y) = f(x, y) = f(x, y0 + y1 - y);
     f is then called only on nodes at or above both centres, and evals and
-    max_evals count those evaluated nodes, a quarter of the plain
-    rectangle's. An integrand that breaks the promise gets a wrong value.
+    max_evals count those nodes, a quarter of the plain rectangle's. An
+    integrand that breaks the promise gets a wrong value. An f marked by
+    GridShare.component takes its grid sums from the share, which may have
+    evaluated them already for another component; evals still count every
+    node of this integral's rule.
     """
     try:
         (x0, x1), (y0, y1) = domain

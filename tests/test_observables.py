@@ -308,6 +308,91 @@ def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
         np.testing.assert_array_equal(values, expected, err_msg=name)
 
 
+# the benchmark's ratio panel: five (L, w) points in both regimes with the
+# dipole, and a kernel-weighted quadrupole at two points, plus the paraxial
+# quadrupole, whose I1 alone of each kind takes the 2D route
+_PANEL_POINTS_UM = ((0.01, 1.0), (1.0, 10.0), (1.0, 50.0), (50.0, 3.0), (100.0, 100.0))
+_QUADRUPOLE_CASES = ((1.0, 10.0, Regime.EXACT), (50.0, 3.0, Regime.EXACT),
+                     (1.0, 10.0, Regime.PARAXIAL))
+
+
+def _ratio_panel_cases():
+    quadrupole = QUADRUPOLE.with_kernel(make_synthetic_kernel(Parity.EVEN))
+    cases = [(ExperimentConfig(crystal_length_um=length, pump_waist_um=waist, regime=regime),
+              DIPOLE)
+             for regime in (Regime.EXACT, Regime.PARAXIAL) for length, waist in _PANEL_POINTS_UM]
+    cases += [(ExperimentConfig(crystal_length_um=length, pump_waist_um=waist, regime=regime),
+               quadrupole)
+              for length, waist, regime in _QUADRUPOLE_CASES]
+    return cases
+
+
+def _bits(result):
+    return (result.value.hex(), result.error_estimate.hex(), result.evals, result.converged,
+            result.method)
+
+
+def test_shared_grids_give_the_unshared_results_bit_for_bit(monkeypatch):
+    # the integrals of one kind share grid evaluations; each keeps its own
+    # schedule, so its value, error, evals, flag and method are those of the
+    # integral run alone. A plain lambda around each integrand hides the share
+    shared = [enhancement_ratio(cfg, channel) for cfg, channel in _ratio_panel_cases()]
+
+    def unshared_integrate_2d(f, domain, spec=None, initial_panels=(2, 2)):
+        return integrate_2d(lambda x, y: f(x, y), domain, spec, initial_panels)
+
+    monkeypatch.setattr(observables, "integrate_2d", unshared_integrate_2d)
+    for (cfg, channel), res in zip(_ratio_panel_cases(), shared):
+        alone = enhancement_ratio(cfg, channel)
+        label = (cfg.crystal_length_um, cfg.pump_waist_um, cfg.regime.value, channel.name)
+        assert (res.R.hex(), res.err_R.hex()) == (alone.R.hex(), alone.err_R.hex()), label
+        for name in INTEGRALS:
+            assert _bits(res.diagnostics[name]) == _bits(alone.diagnostics[name]), (label, name)
+        for kind in ("entangled", "separable"):
+            evals = sum(alone.diagnostics[name].evals for name, spec in INTEGRALS.items()
+                        if spec[0].value == kind)
+            # unshared, every node of every rule is evaluated
+            assert alone.diagnostics["grid_nodes"][kind] == evals, (label, kind)
+            assert res.diagnostics["grid_nodes"][kind] <= evals, (label, kind)
+
+
+def test_grid_nodes_count_the_shared_evaluations():
+    # at L = w = 100 um the three refinements of each kind revisit each
+    # other's grids; at (50, 3) um the counts are pinned: each kind's
+    # grids are those of its largest schedule (see test_ratio_eval_schedule_pin)
+    res = enhancement_ratio(ExperimentConfig(pump_waist_um=100.0, crystal_length_um=100.0))
+    for kind in ("entangled", "separable"):
+        evals = sum(res.diagnostics[name].evals for name, spec in INTEGRALS.items()
+                    if spec[0].value == kind)
+        assert res.diagnostics["grid_nodes"][kind] < evals, kind
+    pinned = enhancement_ratio(ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0))
+    assert pinned.diagnostics["grid_nodes"] == {"entangled": 336960, "separable": 19968}
+
+
+def test_shared_grids_see_only_cache_sized_blocks(monkeypatch):
+    # the shared vector integrand is evaluated on the same row blocks as a
+    # single integral's, never on the whole L = 100 um grid
+    calls = []
+
+    class RecordingShare(quadrature.GridShare):
+        def __init__(self, f):
+            def recorded(x, y):
+                parts = f(x, y)
+                assert len({np.shape(part) for part in parts}) == 1
+                calls.append((np.size(parts[0]), np.size(y)))
+                return parts
+
+            super().__init__(recorded)
+
+    monkeypatch.setattr(observables, "GridShare", RecordingShare)
+    res = enhancement_ratio(ExperimentConfig(pump_waist_um=100.0, crystal_length_um=100.0))
+    assert res.converged
+    nodes = sum(res.diagnostics["grid_nodes"].values())
+    assert sum(n for n, _ in calls) == nodes
+    for n, ny in calls:
+        assert n <= max(quadrature.BLOCK_NODES, ny)
+
+
 def test_views_equal_the_ratio_parts():
     cfg = ExperimentConfig(pump_waist_um=10.0, crystal_length_um=1.0)
     res = enhancement_ratio(cfg)
@@ -570,6 +655,51 @@ def test_kernel_weighted_block_call_allocates_little(kind, table):
         tracemalloc.stop()
     assert values.shape == _BLOCK
     assert peak <= 2 * block_bytes, peak / block_bytes
+
+
+# the three terms of each kind in INTEGRALS order, the coherent one weighted
+# by a kernel or not
+_TERMS = ((1, False, False), (2, False, False), (2, True, False))
+_WEIGHTED_TERMS = ((1, False, True),) + _TERMS[1:]
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+@pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
+def test_group_integrand_terms_equal_the_one_term_integrands(kind, regime):
+    # each term of the group is formed in the one-term operation order: bit for bit
+    s, t = _block_nodes(np.random.default_rng(12))
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
+    for terms in (_TERMS, _WEIGHTED_TERMS):
+        parts = observables._reduced_terms(cfg, kind, terms, even_kernel)(s, t)
+        assert len(parts) == len(terms)
+        for part, (power, obliquity, weighted) in zip(parts, terms):
+            alone = observables._reduced_integrand(
+                cfg, kind, power, obliquity, even_kernel if weighted else None
+            )(s, t)
+            assert np.array_equal(part.view(np.int64), alone.view(np.int64)), (power, obliquity)
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+@pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
+def test_group_block_call_allocates_little(kind, regime):
+    # a warm group call allocates one result per term and small per-row and
+    # per-column arrays; the terms' other factors live in workspace rows
+    s, t = _block_nodes(np.random.default_rng(5))
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
+    even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
+    for terms in (_TERMS, _WEIGHTED_TERMS):
+        f = observables._reduced_terms(cfg, kind, terms, even_kernel)
+        f(s, t)
+        tracemalloc.start()
+        try:
+            parts = f(s, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [part.shape for part in parts] == [_BLOCK] * len(terms)
+        assert peak <= (len(terms) + 1) * block_bytes, (terms, peak / block_bytes)
 
 
 def _per_node_integrand(cfg, kind, power, obliquity, even_kernel, s, t):

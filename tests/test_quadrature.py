@@ -271,7 +271,7 @@ def test_grid_sum_blocks_match_fsum(f, axes, panels, pinned_value):
     rows = quadrature.BLOCK_NODES // math.prod(sizes[1:])
     if rows > 0:
         assert (16 * panels[0][0]) % rows != 0
-    value, evals = quadrature._grid_sum(f, axes, panels)
+    (value,), evals = quadrature._grid_sum(lambda *nodes: (f(*nodes),), axes, panels)
     reference = _fsum_reference(f, axes, panels)
     assert abs(value - reference) <= 1e-13 * abs(reference)
     assert evals == math.prod(sizes)
@@ -430,3 +430,27 @@ def test_integrate_1d_rejects_malformed_pieces(edges, panels):
 def test_integrate_1d_checks_the_integrand_shape():
     with pytest.raises(DomainError, match="shape"):
         integrate_1d(lambda x: np.ones(3), (0.0, 1.0), TIGHT)
+
+
+def test_grid_share_gives_each_component_its_own_result():
+    # components with different schedules on one share: each result is the
+    # component's own integral bit for bit, and each distinct grid is
+    # evaluated once, so fewer nodes are evaluated than the evals add up to
+    components = (
+        lambda x, y: np.cos(7.0 * x) * np.cos(3.0 * y),
+        lambda x, y: np.cos(40.0 * x) * np.cos(3.0 * y),
+        lambda x, y: np.cos(7.0 * x) * np.cos(25.0 * y),
+    )
+    box = ((0.0, 3.0), (-1.0, 2.0))
+    share = quadrature.GridShare(lambda x, y: tuple(g(x, y) for g in components))
+    shared = [integrate_2d(share.component(i, g), box, TIGHT) for i, g in enumerate(components)]
+    alone = [integrate_2d(g, box, TIGHT) for g in components]
+    assert shared == alone
+    assert len({r.evals for r in alone}) > 1
+    assert 0 < share.nodes < sum(r.evals for r in alone)
+    # a wrapper hides the mark: the component then runs on its own grids,
+    # and the share counts the nodes it is called on
+    hidden = quadrature.GridShare(lambda x, y: tuple(g(x, y) for g in components))
+    marked = hidden.component(0, components[0])
+    assert integrate_2d(lambda x, y: marked(x, y), box, TIGHT) == alone[0]
+    assert hidden.nodes == alone[0].evals

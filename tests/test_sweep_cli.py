@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qionize
-from qionize import sweep
+from qionize import cli, sweep
 from qionize.cli import MAX_GRID_N, main
 from qionize.observables import DIPOLE, INTEGRALS, enhancement_ratio
 from qionize.sweep import (
@@ -499,6 +499,29 @@ def test_cli_sweep_writes_both_formats(tmp_path, capsys):
     assert len(jsonl_lines) == 1 + 40
     for ln in jsonl_lines:
         json.loads(ln)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "both"])
+def test_cli_sweep_checks_its_output_paths_before_it_computes(tmp_path, capsys, monkeypatch, fmt):
+    # a path that cannot be written fails at once, not after the whole
+    # preset, and leaves every file as it was
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    (tmp_path / "kept.csv.jsonl").mkdir()
+    bad = [str(tmp_path / "nonexistent" / "x.csv"), str(tmp_path)]
+    if fmt == "both":
+        bad.append(str(kept))
+    for out in bad:
+        assert main(["sweep", "--preset", "fig2a", "--format", fmt, "--out", out]) == 1, out
+        err = capsys.readouterr().err
+        assert "--out" in err, out
+        assert "Traceback" not in err, out
+    assert not (tmp_path / "nonexistent").exists()
+    assert kept.read_text() == "earlier output\n"
 
 
 def test_cli_oracle_check(capsys):
