@@ -157,44 +157,86 @@ def pump_envelope(
     return _maybe_scalar(value, kpx, kpy)
 
 
-def _delta_kz_6d(kix, kiy, kiz, ksx, ksy, ksz, mag_i, mag_s, regime: Regime):
-    if regime is Regime.PARAXIAL:
-        perp_i = kix**2 + kiy**2
-        perp_s = ksx**2 + ksy**2
-        perp_pump = (kix + ksx) ** 2 + (kiy + ksy) ** 2
-        return (
-            perp_i / (2.0 * mag_i)
-            + perp_s / (2.0 * mag_s)
-            - perp_pump / (2.0 * (mag_i + mag_s))
-        )
-    arg = (mag_i + mag_s) ** 2 - (kix + ksx) ** 2 - (kiy + ksy) ** 2
-    # nonnegative whenever both kz >= 0, by the transverse triangle inequality
-    return np.sqrt(np.maximum(arg, 0.0)) - kiz - ksz
+def _work_rows(work, count: int, *inputs):
+    """work, or count fresh float arrays of the inputs' broadcast shape (None reads as a scalar)."""
+    if work is None:
+        shape = np.broadcast_shapes(*(np.shape(k) for k in inputs))
+        work = [np.empty(shape) for _ in range(count)]
+    return work
 
 
-def _separable_6d(ki, ks, cfg: ExperimentConfig):
+def _separable_6d(ki, ks, cfg: ExperimentConfig, work=None):
     """Separable 6D amplitude with |ki| and |ks|; no kz check.
 
     ki and ks are (kx, ky, kz) triplets of float arrays. The entangled
     amplitude is this value times _entangling_6d at the same magnitudes.
+    work, if given, is four float arrays of the inputs' broadcast shape,
+    none of them an input: the value, |ki| and |ks| are written into
+    work[0:3] and returned, work[3] is scratch. Without it the call
+    allocates its own. Squares that overflow give exp(-inf) = 0 without a
+    warning.
     """
-    kix, kiy, kiz = ki
-    ksx, ksy, ksz = ks
-    k0 = cfg.k0
-    mag_i = np.sqrt(kix**2 + kiy**2 + kiz**2)
-    mag_s = np.sqrt(ksx**2 + ksy**2 + ksz**2)
-    value = pump_envelope(kix + ksx, kiy + ksy, cfg.pump_waist_um, cfg.pump_waist_y)
-    value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_i - k0)) ** 2)
-    value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_s - k0)) ** 2)
-    value = value * np.exp(-0.5 * (cfg.filter_omega_y_um * kiy) ** 2)
-    value = value * np.exp(-0.5 * (cfg.filter_omega_y_um * ksy) ** 2)
+    kix, kiy, _ = ki
+    ksx, ksy, _ = ks
+    value, mag_i, mag_s, tmp = _work_rows(work, 4, *ki, *ks)
+    with np.errstate(over="ignore"):
+        for (kx, ky, kz), mag in ((ki, mag_i), (ks, mag_s)):
+            np.square(kx, out=mag)
+            np.add(mag, np.square(ky, out=tmp), out=mag)
+            np.add(mag, np.square(kz, out=tmp), out=mag)
+            np.sqrt(mag, out=mag)
+        # pump_envelope(kix + ksx, kiy + ksy, ...), one in-place step at a time
+        np.square(np.multiply(np.add(kix, ksx, out=value), cfg.pump_waist_um, out=value), out=value)
+        np.multiply(value, -0.5, out=value)
+        np.square(np.multiply(np.add(kiy, ksy, out=tmp), cfg.pump_waist_y, out=tmp), out=tmp)
+        np.subtract(value, np.multiply(tmp, 0.5, out=tmp), out=value)
+        np.exp(value, out=value)
+        # exp(-0.5 * (omega (arg - center))^2) for each photon's spectral, then
+        # transverse filter; subtracting a center of 0.0 leaves ky as it is
+        for arg, center, omega in ((mag_i, cfg.k0, cfg.filter_omega_um),
+                                   (mag_s, cfg.k0, cfg.filter_omega_um),
+                                   (kiy, 0.0, cfg.filter_omega_y_um),
+                                   (ksy, 0.0, cfg.filter_omega_y_um)):
+            np.multiply(np.subtract(arg, center, out=tmp), omega, out=tmp)
+            np.multiply(np.square(tmp, out=tmp), -0.5, out=tmp)
+            np.multiply(value, np.exp(tmp, out=tmp), out=value)
     return value, mag_i, mag_s
 
 
-def _entangling_6d(ki, ks, mag_i, mag_s, cfg: ExperimentConfig):
-    """Phase-matching factor sinc(L * delta_kz / 2) in the configured regime."""
-    mismatch = _delta_kz_6d(*ki, *ks, mag_i, mag_s, cfg.regime)
-    return sinc(0.5 * cfg.crystal_length_um * mismatch)
+def _entangling_6d(ki, ks, mag_i, mag_s, cfg: ExperimentConfig, work=None):
+    """Phase-matching factor sinc(L * delta_kz / 2) in the configured regime.
+
+    The paraxial mismatch is kix^2 + kiy^2 over 2|ki|, plus the same for ks,
+    minus the pump's (kix + ksx)^2 + (kiy + ksy)^2 over 2(|ki| + |ks|); the
+    exact one is sqrt((|ki| + |ks|)^2 - (kix + ksx)^2 - (kiy + ksy)^2),
+    clamped at 0, minus kiz + ksz. work, if given, is three float arrays of
+    the inputs' broadcast shape, none of them an input: the factor is
+    written into work[0] and returned, the rest is scratch. Without it the
+    call allocates its own. A phase that overflows gives sinc(inf) = 0
+    without a warning.
+    """
+    kix, kiy, kiz = ki
+    ksx, ksy, ksz = ks
+    value, mismatch, tmp = _work_rows(work, 3, *ki, *ks, mag_i, mag_s)
+    with np.errstate(over="ignore"):
+        if cfg.regime is Regime.PARAXIAL:
+            for (kx, ky, _), mag, term in ((ki, mag_i, mismatch), (ks, mag_s, value)):
+                np.add(np.square(kx, out=term), np.square(ky, out=tmp), out=term)
+                np.divide(term, np.multiply(mag, 2.0, out=tmp), out=term)
+            np.add(mismatch, value, out=mismatch)
+            np.square(np.add(kix, ksx, out=value), out=value)
+            np.add(value, np.square(np.add(kiy, ksy, out=tmp), out=tmp), out=value)
+            np.multiply(np.add(mag_i, mag_s, out=tmp), 2.0, out=tmp)
+            np.subtract(mismatch, np.divide(value, tmp, out=value), out=mismatch)
+        else:
+            np.square(np.add(mag_i, mag_s, out=mismatch), out=mismatch)
+            np.subtract(mismatch, np.square(np.add(kix, ksx, out=tmp), out=tmp), out=mismatch)
+            np.subtract(mismatch, np.square(np.add(kiy, ksy, out=tmp), out=tmp), out=mismatch)
+            # nonnegative whenever both kz >= 0, by the transverse triangle inequality
+            np.sqrt(np.maximum(mismatch, 0.0, out=mismatch), out=mismatch)
+            np.subtract(np.subtract(mismatch, kiz, out=mismatch), ksz, out=mismatch)
+        np.multiply(mismatch, 0.5 * cfg.crystal_length_um, out=mismatch)
+    return sinc(mismatch, out=value)
 
 
 def eval_amplitude(ki, ks, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike:
@@ -216,11 +258,12 @@ def eval_amplitude(ki, ks, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayL
     forward = (kiz >= 0.0) & (ksz >= 0.0)
     ki_safe = (kix, kiy, np.where(forward, kiz, 0.0))
     ks_safe = (ksx, ksy, np.where(forward, ksz, 0.0))
-    with np.errstate(over="ignore"):
-        value, mag_i, mag_s = _separable_6d(ki_safe, ks_safe, cfg)
-        if kind is AmplitudeKind.ENTANGLED:
-            value = value * _entangling_6d(ki_safe, ks_safe, mag_i, mag_s, cfg)
-    value = np.where(forward, value, 0.0)
+    # the separable value, |ki|, |ks|, then the phase matching's two rows
+    work = _work_rows(None, 6, *ki_safe, *ks_safe)
+    value, mag_i, mag_s = _separable_6d(ki_safe, ks_safe, cfg, work[:4])
+    if kind is AmplitudeKind.ENTANGLED:
+        np.multiply(value, _entangling_6d(ki_safe, ks_safe, mag_i, mag_s, cfg, work[3:]), out=value)
+    np.copyto(value, 0.0, where=~forward)
     return _maybe_scalar(value, kix, kiy, kiz, ksx, ksy, ksz)
 
 
@@ -282,10 +325,7 @@ def _reduced_amplitude(u, v, kx, cfg: ExperimentConfig, kind: AmplitudeKind, wor
     returned, the rest is scratch, and an exact entangled call leaves
     kiz + ksz in work[1]. Without it the call allocates its own.
     """
-    if work is None:
-        shapes = [np.shape(u), np.shape(v), *(np.shape(k) for k in kx or ())]
-        work = [np.empty(np.broadcast_shapes(*shapes)) for _ in range(4)]
-    value, a, b, c = work
+    value, a, b, c = _work_rows(work, 4, u, v, *(kx or ()))
     # exp(-0.5 * (omega_p u)^2), one in-place step at a time
     np.square(np.multiply(u, cfg.pump_waist_um, out=value), out=value)
     np.exp(np.multiply(value, -0.5, out=value), out=value)

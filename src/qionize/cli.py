@@ -84,7 +84,9 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--preset", required=True, choices=preset_names())
     sweep.add_argument("--out", required=True, help="output path (.csv)")
     sweep.add_argument("--format", default="csv", choices=("csv", "jsonl", "both"))
-    sweep.add_argument("--workers", type=int, help="worker processes (capped by QIONIZE_THREADS)")
+    sweep.add_argument("--workers", type=int,
+                       help="worker processes (capped by QIONIZE_THREADS, which also caps "
+                            "the Monte Carlo oracle's threads)")
 
     oracle = sub.add_parser("oracle-check", help="cross-validate reduced vs full 6D ratios")
     oracle.add_argument("--configs", type=int, default=10)

@@ -4,14 +4,17 @@ Each photon is parametrized by (kx, ky, kappa = |k|) with
 kz = sqrt(kappa^2 - kx^2 - ky^2). Samples come from one Gaussian proposal
 shaped by the pump and filters; draws whose kz argument is negative are
 rejected (zero weight) and the rejection fraction is reported. Sampling uses
-the counter-based Philox generator with one child seed sequence per batch;
-batch partial sums are combined in fixed index order, so a result depends
-only on (integrand, config, spec), never on scheduling.
+the counter-based Philox generator with one child seed sequence per batch.
+Batches run on a thread pool and their partial sums are combined in fixed
+index order, so a result depends only on (integrand, config, spec), never
+on scheduling or the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -19,8 +22,8 @@ import numpy as np
 
 from .amplitude import AmplitudeKind, _entangling_6d, _separable_6d
 from .observables import CONVENTIONS, DIPOLE, INTEGRALS, Channel, KernelError, ratio_from_integrals
-from .quadrature import ConvergenceError, IntegralResult
-from .units import DomainError, ExperimentConfig, Reduction, Regime
+from .quadrature import BLOCK_NODES, ConvergenceError, IntegralResult
+from .units import DomainError, ExperimentConfig, Reduction, Regime, _worker_count
 
 __all__ = [
     "McSpec",
@@ -45,6 +48,9 @@ MIN_SAMPLES = 100_000
 MAX_SAMPLES = 100_000_000_000
 # samples per batch past ten batches: the count grows, so no batch holds 2x more
 _BATCH_SAMPLES = 500_000
+# a batch's random numbers, one float row each: u's normals, the uniforms,
+# then the normals of kiy, ksy, kappa_i and kappa_s
+_DRAW_ROWS = 6
 # fewest effective samples for either estimator to report converged
 MIN_ESS = 100.0
 # smallest |R_reduced / R_full - 1| that reduced_vs_full_check tolerates;
@@ -105,44 +111,73 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _draw_gaussian(rng, n: int, cfg: ExperimentConfig):
+def _draw_streams(rng, raw: np.ndarray) -> None:
+    """A batch's random numbers into the (_DRAW_ROWS, n) float array raw.
+
+    The stream is read in one fixed order: n normals for u, n uniforms for
+    v, then 4 n normals for (kiy, ksy, kappa_i, kappa_s).
+    """
+    rng.standard_normal(out=raw[0])
+    rng.random(out=raw[1])
+    rng.standard_normal(out=raw[2:])
+
+
+def _draw_gaussian(raw: np.ndarray, slab: np.ndarray, cfg: ExperimentConfig):
+    """Proposal samples from a block of _draw_streams' numbers, in place.
+
+    raw is a (_DRAW_ROWS, n) block, overwritten; slab is two float rows of
+    length n. Returns kx as a (kix, ksx) pair of rows, ky and kappa as
+    (2, n) views of raw, and the importance weights, 1 / density, in
+    slab[0]. raw[0] is left as scratch.
+    """
     k0 = cfg.k0
     sigma_u = _PUMP_PROPOSAL_WIDTH / cfg.pump_waist_um
     sigma_y = 1.0 / cfg.filter_omega_y_um
     sigma_k = 1.0 / cfg.filter_omega_um
+    u, v, ky, kappa = raw[0], raw[1], raw[2:4], raw[4:6]
+    weights, kix = slab[0], slab[1]
 
-    u = rng.normal(0.0, sigma_u, size=n)
-    vmax = 2.0 * k0 - np.abs(u)
-    alive = vmax > 0.0
-    vmax_safe = np.where(alive, vmax, 1.0)
-    v = rng.uniform(-1.0, 1.0, size=n) * vmax_safe
-    kix = 0.5 * (u + v)
-    ksx = 0.5 * (u - v)
+    # q, the density's quadratic form: u's and ky's terms from their
+    # standard normals, kappa's from the rounded kappa
+    np.square(u, out=weights)
+    for z in ky:
+        np.add(weights, np.square(z, out=kix), out=weights)
+    np.multiply(ky, sigma_y, out=ky)
+    np.add(np.multiply(kappa, sigma_k, out=kappa), k0, out=kappa)
+    for k in kappa:
+        np.square(np.divide(np.subtract(k, k0, out=kix), sigma_k, out=kix), out=kix)
+        np.add(weights, kix, out=weights)
+    # density on (kix, ksx) is 2 N(u; sigma_u) Uniform(v | vmax), with
+    # Gaussians in each ky and kappa, so 1 / density is
+    # vmax (2 pi)^(5/2) sigma_u sigma_y^2 sigma_k^2 exp(q / 2)
+    np.exp(np.multiply(weights, 0.5, out=weights), out=weights)
+    np.multiply(weights, (2.0 * math.pi) ** 2.5 * sigma_u * sigma_y**2 * sigma_k**2, out=weights)
+    np.multiply(u, sigma_u, out=u)
+    vmax = np.subtract(2.0 * k0, np.abs(u, out=kix), out=kix)
+    dead = vmax <= 0.0
+    np.multiply(weights, vmax, out=weights)
+    np.copyto(weights, 0.0, where=dead)
+    np.copyto(vmax, 1.0, where=dead)
+    # v = uniform(-1, 1) * vmax, then kix = (u + v) / 2 and ksx = (u - v) / 2
+    np.multiply(np.add(np.multiply(v, 2.0, out=v), -1.0, out=v), vmax, out=v)
+    np.multiply(np.add(u, v, out=kix), 0.5, out=kix)
+    np.multiply(np.subtract(u, v, out=v), 0.5, out=v)
+    return (kix, v), ky, kappa, weights
 
-    ky = rng.normal(0.0, sigma_y, size=(2, n))
-    kappa = rng.normal(k0, sigma_k, size=(2, n))
 
-    # density on (kix, ksx) is 2 * N(u; sigma_u) * Uniform(v | vmax)
-    dens_u = np.exp(-0.5 * (u / sigma_u) ** 2) / (sigma_u * math.sqrt(2.0 * math.pi))
-    dens_x = 2.0 * dens_u / (2.0 * vmax_safe)
-    dens_y = np.prod(
-        np.exp(-0.5 * (ky / sigma_y) ** 2) / (sigma_y * math.sqrt(2.0 * math.pi)), axis=0
-    )
-    dens_k = np.prod(
-        np.exp(-0.5 * ((kappa - k0) / sigma_k) ** 2) / (sigma_k * math.sqrt(2.0 * math.pi)),
-        axis=0,
-    )
-    density = dens_x * dens_y * dens_k
-    weights = np.where(alive & (density > 0.0), 1.0 / np.where(density > 0.0, density, 1.0), 0.0)
-    kx = np.stack([kix, ksx])
-    return kx, ky, kappa, weights
+def _physical_kz(kx, ky, kappa, scratch):
+    """Each photon's kz = sqrt(kappa^2 - kx^2 - ky^2), written over kappa.
 
-
-def _physical_kz(kx, ky, kappa):
-    arg = kappa**2 - kx**2 - ky**2
-    valid = (arg >= 0.0).all(axis=0) & (kappa > 0.0).all(axis=0)
-    kz = np.sqrt(np.maximum(arg, 0.0))
-    return kz, valid
+    Returns kz, clamped at 0, and the mask of samples whose kz arguments
+    are >= 0 and kappas > 0 for both photons. scratch is one float row.
+    """
+    valid = (kappa > 0.0).all(axis=0)
+    for x, y, k in zip(kx, ky, kappa):
+        np.square(k, out=k)
+        np.subtract(k, np.square(x, out=scratch), out=k)
+        np.subtract(k, np.square(y, out=scratch), out=k)
+    valid &= (kappa >= 0.0).all(axis=0)
+    return np.sqrt(np.maximum(kappa, 0.0, out=kappa), out=kappa), valid
 
 
 def _check_full6d(cfg: ExperimentConfig, op: str) -> None:
@@ -165,34 +200,88 @@ def _jackknife(batch_values: np.ndarray, combine: Callable[[np.ndarray], float])
     return estimate, sigma
 
 
-def _run_batches(op: str, cfg: ExperimentConfig, spec: McSpec, width: int, accumulate):
+def _run_batches(op: str, cfg: ExperimentConfig, spec: McSpec, width: int, accumulate,
+                 scratch_rows: int):
     """The sampler shared by both estimators.
 
-    Draws every batch from its own Philox stream through the Gaussian
-    proposal, computes kz and zeroes the weights of unphysical draws, then
-    calls accumulate(weights, ki, ks), which returns the batch's `width`
-    accumulator sums and the per-sample contributions the effective sample
-    size is taken over. Returns the (batches, width) sums, the ESS, the
-    rejection fraction and the sample count; raises ConvergenceError naming
-    op on a zero ESS.
+    Draws every batch from its own Philox stream, then takes it in blocks
+    of BLOCK_NODES samples: each block goes through the Gaussian proposal,
+    gets its kz, has the weights of unphysical draws zeroed, and is passed
+    to accumulate(weights, ki, ks, scratch). scratch is scratch_rows float
+    rows of the block's length, all the accumulator may write to; it
+    returns the block's `width` accumulator sums and a row of the
+    per-sample contributions the effective sample size is taken over,
+    which this function may overwrite.
+
+    Batches run on a thread pool made for this call, one thread per CPU
+    that _worker_count allows and at most one per batch. Each thread keeps
+    one batch of draws and one block of rows for all its batches, so
+    memory is _DRAW_ROWS sample rows per thread. Block sums are added in
+    block order and batch results combined in batch order, as a serial
+    loop would, so the result does not depend on the thread count. Returns
+    the (batches, width) sums, the ESS, the rejection fraction and the
+    sample count; raises ConvergenceError naming op on a zero ESS.
     """
     sizes = _batch_sizes(int(spec.samples))
-    sums = np.zeros((len(sizes), width))
+    # a block's weights and kix, then its scratch rows after the first, raw[0]
+    rows = 1 + scratch_rows
+    results = [None] * len(sizes)
+    pending = iter(range(len(sizes)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def run_batch(index: int, raw: np.ndarray, block_buffer: np.ndarray):
+        _draw_streams(_batch_rng(spec.seed, index), raw)
+        sums = np.zeros(width)
+        rejected = 0
+        accepted_w = 0.0
+        accepted_w2 = 0.0
+        for start in range(0, raw.shape[1], BLOCK_NODES):
+            block = raw[:, start : start + BLOCK_NODES]
+            slab = block_buffer[: rows * block.shape[1]].reshape(rows, -1)
+            kx, ky, kappa, weights = _draw_gaussian(block, slab, cfg)
+            scratch = [block[0], *slab[2:]]
+            kz, valid = _physical_kz(kx, ky, kappa, scratch[0])
+            np.copyto(weights, 0.0, where=~valid)
+            rejected += valid.size - int(np.count_nonzero(valid))
+            block_sums, contributions = accumulate(
+                weights, (kx[0], ky[0], kz[0]), (kx[1], ky[1], kz[1]), scratch
+            )
+            np.add(sums, block_sums, out=sums)
+            accepted_w += float(np.sum(contributions))
+            accepted_w2 += float(np.sum(np.square(contributions, out=contributions)))
+        return sums, rejected, accepted_w, accepted_w2
+
+    def work():
+        raw_buffer = np.empty(_DRAW_ROWS * max(sizes))
+        block_buffer = np.empty(rows * BLOCK_NODES)
+        while not stop.is_set():
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            raw = raw_buffer[: _DRAW_ROWS * sizes[index]].reshape(_DRAW_ROWS, -1)
+            results[index] = run_batch(index, raw, block_buffer)
+
+    count = min(_worker_count(None), len(sizes))
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        futures = [pool.submit(work) for _ in range(count)]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # a failed batch or an interrupt ends the other threads after their current batch
+            stop.set()
+    for future in futures:
+        future.result()
+
+    sums = np.array([batch[0] for batch in results])
+    rejected = 0
     accepted_w = 0.0
     accepted_w2 = 0.0
-    rejected = 0
-
-    for index, size in enumerate(sizes):
-        rng = _batch_rng(spec.seed, index)
-        kx, ky, kappa, weights = _draw_gaussian(rng, size, cfg)
-        kz, valid = _physical_kz(kx, ky, kappa)
-        weights = np.where(valid, weights, 0.0)
-        rejected += int(np.count_nonzero(~valid))
-        sums[index], contributions = accumulate(
-            weights, (kx[0], ky[0], kz[0]), (kx[1], ky[1], kz[1])
-        )
-        accepted_w += float(np.sum(contributions))
-        accepted_w2 += float(np.sum(contributions**2))
+    for _, batch_rejected, batch_w, batch_w2 in results:
+        rejected += batch_rejected
+        accepted_w += batch_w
+        accepted_w2 += batch_w2
 
     if accepted_w == 0.0 or accepted_w2 == 0.0:
         raise ConvergenceError(f"zero effective sample size in {op}")
@@ -203,20 +292,29 @@ def _run_batches(op: str, cfg: ExperimentConfig, spec: McSpec, width: int, accum
 def mc_integral(f: Callable, cfg: ExperimentConfig, spec: McSpec) -> McIntegralResult:
     """Unbiased 6D integral estimate of f over photon-pair phase space.
 
-    f is called with two (kx, ky, kz) triplets of equal-length arrays and
-    must return the per-sample integrand. The proposal shapes itself from
-    the config's filters and pump. The standard error comes from
-    leave-one-batch-out resampling. Requires a full6d config; identical
-    (f, cfg, spec) reruns are bit-identical.
+    f is called with two (kx, ky, kz) triplets of equal-length arrays, a
+    block of at most BLOCK_NODES samples, and must return the per-sample
+    integrand: an array of their shape, or a scalar; any other shape is a
+    DomainError. f may be called from several threads at once, and the
+    arrays it receives are valid only during the call. The proposal shapes
+    itself from the config's filters and pump. The standard error comes
+    from leave-one-batch-out resampling. Requires a full6d config;
+    identical (f, cfg, spec) reruns are bit-identical, at any thread count.
     """
     _check_full6d(cfg, "mc_integral")
 
-    def accumulate(weights, ki, ks):
+    def accumulate(weights, ki, ks, scratch):
         values = np.asarray(f(ki, ks), dtype=float)
-        return (np.sum(weights * values),), np.abs(weights * values)
+        if values.shape not in ((), weights.shape):
+            raise DomainError(
+                f"mc_integral: f must return shape {weights.shape} or a scalar, "
+                f"got shape {values.shape}"
+            )
+        product = np.multiply(weights, values, out=scratch[0])
+        return (np.sum(product),), np.abs(product, out=product)
 
     sums, ess, rejection, total_samples = _run_batches(
-        "mc_integral", cfg, spec, 1, accumulate
+        "mc_integral", cfg, spec, 1, accumulate, 1
     )
     value, sigma = _jackknife(sums, lambda t: float(t[0]) / total_samples)
     return McIntegralResult(
@@ -253,21 +351,37 @@ def mc_enhancement_ratio(
     cfg_eff = cfg.replace(channel_energy_ev=channel.transition_energy_ev)
     paraxial = cfg_eff.regime is Regime.PARAXIAL
 
-    def accumulate(weights, ki, ks):
-        f_sep, mag_i, mag_s = _separable_6d(ki, ks, cfg_eff)
-        f_ent = f_sep * _entangling_6d(ki, ks, mag_i, mag_s, cfg_eff)
+    def accumulate(weights, ki, ks, scratch):
+        # F_sep, |ki| and |ks| in scratch[0:3] and F_ent in scratch[3]; then
+        # the obliquity in |ki|'s row, each term in scratch[4] and the ESS
+        # contributions in scratch[5]
+        f_sep, mag_i, mag_s = _separable_6d(ki, ks, cfg_eff, scratch[:4])
+        f_ent = _entangling_6d(ki, ks, mag_i, mag_s, cfg_eff, scratch[3:6])
+        np.multiply(f_ent, f_sep, out=f_ent)
         amplitudes = {AmplitudeKind.ENTANGLED: f_ent, AmplitudeKind.SEPARABLE: f_sep}
-        obliquity = CONVENTIONS["obliquity_paraxial"] if paraxial else ki[2] / mag_i + ks[2] / mag_s
-        # one expression per sum, so that numpy reuses its temporaries in place
-        sums = [np.sum(weights * amplitudes[kind] ** power * obliquity) if weighted
-                else np.sum(weights * amplitudes[kind] ** power)
-                for kind, power, weighted in INTEGRALS.values()]
+        if paraxial:
+            obliquity = CONVENTIONS["obliquity_paraxial"]
+        else:
+            np.divide(ks[2], mag_s, out=mag_s)
+            obliquity = np.add(np.divide(ki[2], mag_i, out=mag_i), mag_s, out=mag_i)
+        term = scratch[4]
+        sums = []
+        # weight * F^power, times the obliquity where it applies
+        for kind, power, weighted in INTEGRALS.values():
+            amplitude = amplitudes[kind]
+            if power == 2:
+                amplitude = np.square(amplitude, out=term)
+            np.multiply(weights, amplitude, out=term)
+            if weighted:
+                np.multiply(term, obliquity, out=term)
+            sums.append(np.sum(term))
         # the effective sample size is over the dominant positive accumulator,
         # since F_sep^2 bounds every other integrand pointwise
-        return sums, np.abs(weights * f_sep**2)
+        contributions = np.multiply(weights, np.square(f_sep, out=scratch[5]), out=scratch[5])
+        return sums, np.abs(contributions, out=contributions)
 
     sums, ess, rejection, total_samples = _run_batches(
-        "mc_enhancement_ratio", cfg_eff, spec, len(INTEGRALS), accumulate
+        "mc_enhancement_ratio", cfg_eff, spec, len(INTEGRALS), accumulate, 6
     )
 
     def combine(t):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -28,7 +27,7 @@ from .observables import (
     builtin_channels,
     enhancement_ratio,
 )
-from .units import ConfigError, ExperimentConfig, Regime
+from .units import ConfigError, ExperimentConfig, Regime, _worker_count
 
 __all__ = [
     "SweepAxis",
@@ -124,26 +123,6 @@ class SweepRecord:
     def row(self) -> Tuple:
         # the field names are the CSV column names
         return tuple(getattr(self, column) for column in CSV_COLUMNS)
-
-
-def _worker_count(requested: Optional[int]) -> int:
-    if requested is not None and requested < 1:
-        raise ConfigError(f"workers must be >= 1, got {requested!r}")
-    cap = os.environ.get("QIONIZE_THREADS")
-    count = requested
-    if count is None:
-        # the CPUs this process may run on: an affinity mask can leave far
-        # fewer than os.cpu_count() reports for the host
-        if hasattr(os, "sched_getaffinity"):
-            count = len(os.sched_getaffinity(0))
-        else:
-            count = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            count = min(count, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"QIONIZE_THREADS must be an integer, got {cap!r}") from None
-    return max(1, count)
 
 
 def _evaluate_point(task) -> SweepRecord:

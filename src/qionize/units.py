@@ -11,6 +11,7 @@ import enum
 import functools
 import io
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -260,3 +261,29 @@ def dump_config(cfg: ExperimentConfig) -> str:
         else:
             lines.append(f"{key} = {value!r}")
     return "\n".join(lines) + "\n"
+
+
+def _worker_count(requested: Optional[int]) -> int:
+    """Workers or threads to run: requested, else the CPUs this process may
+    run on, capped by the QIONIZE_THREADS environment variable; at least 1.
+
+    Sweeps size their process pools and the Monte Carlo oracle its thread
+    pools with it.
+    """
+    if requested is not None and requested < 1:
+        raise ConfigError(f"workers must be >= 1, got {requested!r}")
+    cap = os.environ.get("QIONIZE_THREADS")
+    count = requested
+    if count is None:
+        # the CPUs this process may run on: an affinity mask can leave far
+        # fewer than os.cpu_count() reports for the host
+        if hasattr(os, "sched_getaffinity"):
+            count = len(os.sched_getaffinity(0))
+        else:
+            count = os.cpu_count() or 1
+    if cap is not None:
+        try:
+            count = min(count, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError(f"QIONIZE_THREADS must be an integer, got {cap!r}") from None
+    return max(1, count)

@@ -1,12 +1,15 @@
 """Six-dimensional Monte Carlo cross-checks of the reduced pipeline."""
 
 import math
+import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qionize import oracle
-from qionize.amplitude import AmplitudeKind, eval_amplitude
+from qionize.amplitude import AmplitudeKind, _entangling_6d, _separable_6d, eval_amplitude
 from qionize.observables import QUADRUPOLE, KernelError, enhancement_ratio, normalization
 from qionize.oracle import (
     MIN_SAMPLES,
@@ -230,7 +233,7 @@ def test_mc_ratio_refuses_subnormal_coherent_squares(monkeypatch):
     sums = np.ones((10, 6))
     sums[:, 0] = 1e-160
 
-    def fake_run_batches(op, cfg, spec, width, accumulate):
+    def fake_run_batches(op, cfg, spec, width, accumulate, scratch_rows):
         return sums, 1e6, 0.0, MIN_SAMPLES
 
     monkeypatch.setattr(oracle, "_run_batches", fake_run_batches)
@@ -252,3 +255,165 @@ def test_unconverged_mc_ratio_never_agrees(converged, monkeypatch):
     row = reduced_vs_full_check(cfg, spec)
     assert row.rel_deviation <= row.tolerance
     assert row.agrees is converged
+
+
+def _sequential_draw(rng, n, cfg):
+    # the proposal as a sequence of rng.normal and rng.uniform calls, with
+    # its density as a product of five normalized exponentials
+    k0 = cfg.k0
+    sigma_u = oracle._PUMP_PROPOSAL_WIDTH / cfg.pump_waist_um
+    sigma_y = 1.0 / cfg.filter_omega_y_um
+    sigma_k = 1.0 / cfg.filter_omega_um
+    u = rng.normal(0.0, sigma_u, size=n)
+    vmax = 2.0 * k0 - np.abs(u)
+    alive = vmax > 0.0
+    vmax_safe = np.where(alive, vmax, 1.0)
+    v = rng.uniform(-1.0, 1.0, size=n) * vmax_safe
+    kx = np.stack([0.5 * (u + v), 0.5 * (u - v)])
+    ky = rng.normal(0.0, sigma_y, size=(2, n))
+    kappa = rng.normal(k0, sigma_k, size=(2, n))
+    norm = math.sqrt(2.0 * math.pi)
+    dens_u = np.exp(-0.5 * (u / sigma_u) ** 2) / (sigma_u * norm)
+    dens_x = 2.0 * dens_u / (2.0 * vmax_safe)
+    dens_y = np.prod(np.exp(-0.5 * (ky / sigma_y) ** 2) / (sigma_y * norm), axis=0)
+    dens_k = np.prod(np.exp(-0.5 * ((kappa - k0) / sigma_k) ** 2) / (sigma_k * norm), axis=0)
+    density = dens_x * dens_y * dens_k
+    weights = np.where(alive & (density > 0.0), 1.0 / np.where(density > 0.0, density, 1.0), 0.0)
+    return kx, ky, kappa, weights
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG_6D,
+    default_check_configs(2, 5)[0],
+    CFG_6D.replace(filter_omega_um=0.1),  # kappa draws below |k_perp|
+    CFG_6D.replace(pump_waist_um=0.02),  # |u| past 2 k0: zero weights
+])
+def test_draw_gaussian_matches_the_sequential_draws(cfg):
+    # the in-place draw reads the same streams in the same order: the momenta
+    # bit for bit, the one-exponential weights to rounding
+    n = 20_000
+    raw = np.empty((oracle._DRAW_ROWS, n))
+    oracle._draw_streams(oracle._batch_rng(3, 4), raw)
+    kx, ky, kappa, weights = oracle._draw_gaussian(raw, np.empty((2, n)), cfg)
+    ref_kx, ref_ky, ref_kappa, ref_weights = _sequential_draw(oracle._batch_rng(3, 4), n, cfg)
+    for got, ref in ((np.stack(kx), ref_kx), (ky, ref_ky), (kappa, ref_kappa)):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(weights == 0.0, ref_weights == 0.0)
+    np.testing.assert_allclose(weights, ref_weights, rtol=1e-13, atol=0.0)
+
+
+def _expression_amplitude(ki, ks, cfg, kind):
+    # the 6D amplitude as whole-array expressions, for forward photons
+    (kix, kiy, kiz), (ksx, ksy, ksz) = ki, ks
+    k0 = cfg.k0
+    mag_i = np.sqrt(kix**2 + kiy**2 + kiz**2)
+    mag_s = np.sqrt(ksx**2 + ksy**2 + ksz**2)
+    value = np.exp(-0.5 * (cfg.pump_waist_um * (kix + ksx)) ** 2
+                   - 0.5 * (cfg.pump_waist_y * (kiy + ksy)) ** 2)
+    value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_i - k0)) ** 2)
+    value = value * np.exp(-0.5 * (cfg.filter_omega_um * (mag_s - k0)) ** 2)
+    value = value * np.exp(-0.5 * (cfg.filter_omega_y_um * kiy) ** 2)
+    value = value * np.exp(-0.5 * (cfg.filter_omega_y_um * ksy) ** 2)
+    if kind is AmplitudeKind.SEPARABLE:
+        return value
+    if cfg.regime is Regime.PARAXIAL:
+        mismatch = ((kix**2 + kiy**2) / (2.0 * mag_i) + (ksx**2 + ksy**2) / (2.0 * mag_s)
+                    - ((kix + ksx) ** 2 + (kiy + ksy) ** 2) / (2.0 * (mag_i + mag_s)))
+    else:
+        arg = (mag_i + mag_s) ** 2 - (kix + ksx) ** 2 - (kiy + ksy) ** 2
+        mismatch = np.sqrt(np.maximum(arg, 0.0)) - kiz - ksz
+    x = 0.5 * cfg.crystal_length_um * mismatch
+    with np.errstate(invalid="ignore"):
+        sinc = np.where(np.abs(x) < 1e-4, 1.0 - x**2 / 6.0 + x**4 / 120.0, np.sin(x) / x)
+    return value * sinc
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+def test_eval_amplitude_is_bit_identical_with_and_without_work(regime):
+    # the Monte Carlo ratio evaluates the amplitude in workspace rows; that
+    # path, the allocating one and eval_amplitude all give the same bits,
+    # those of the whole-array expressions
+    cfg = default_check_configs(2, 5)[0].replace(regime=regime)
+    n = 50_000
+    raw = np.empty((oracle._DRAW_ROWS, n))
+    oracle._draw_streams(oracle._batch_rng(0, 1), raw)
+    kx, ky, kappa, _ = oracle._draw_gaussian(raw, np.empty((2, n)), cfg)
+    kz, valid = oracle._physical_kz(kx, ky, kappa, raw[0])
+    assert valid.all()
+    ki, ks = (kx[0], ky[0], kz[0]), (kx[1], ky[1], kz[1])
+    scratch = np.empty((6, n))
+    f_sep, mag_i, mag_s = _separable_6d(ki, ks, cfg, scratch[:4])
+    f_ent = np.multiply(_entangling_6d(ki, ks, mag_i, mag_s, cfg, scratch[3:6]), f_sep,
+                        out=scratch[3])
+    alloc_sep, alloc_mag_i, alloc_mag_s = _separable_6d(ki, ks, cfg)
+    alloc_ent = alloc_sep * _entangling_6d(ki, ks, alloc_mag_i, alloc_mag_s, cfg)
+    for kind, in_place, allocated in ((AmplitudeKind.SEPARABLE, f_sep, alloc_sep),
+                                      (AmplitudeKind.ENTANGLED, f_ent, alloc_ent)):
+        public = eval_amplitude(ki, ks, cfg, kind)
+        reference = _expression_amplitude(ki, ks, cfg, kind)
+        assert np.count_nonzero(public) > 0.9 * public.size
+        for values in (in_place, allocated, public):
+            assert np.array_equal(values.view(np.int64), reference.view(np.int64)), kind
+
+
+def _run_both(cfg, spec):
+    ratio = mc_enhancement_ratio(cfg, spec)
+    integral = mc_integral(
+        lambda ki, ks: eval_amplitude(ki, ks, cfg, AmplitudeKind.ENTANGLED) ** 2, cfg, spec
+    )
+    return ratio, integral
+
+
+def test_estimators_are_bit_identical_at_any_thread_count(monkeypatch):
+    # batches keep their streams and are summed in index order, so one
+    # thread, the default count and more threads than batches or cores agree
+    # bit for bit; a short switch interval interleaves the threads finely
+    cfg = default_check_configs(2, 5)[0]
+    spec = McSpec(samples=MIN_SAMPLES, seed=17)
+    monkeypatch.setenv("QIONIZE_THREADS", "1")
+    serial = _run_both(cfg, spec)
+    monkeypatch.delenv("QIONIZE_THREADS")
+    runs = [_run_both(cfg, spec)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs.append(_run_both(cfg, spec))
+    finally:
+        sys.setswitchinterval(interval)
+    for ratio, integral in runs:
+        assert ratio == serial[0]
+        assert integral == serial[1]
+
+
+@pytest.mark.parametrize("shape", ["n, 2", "n + 1"])
+def test_mc_integral_refuses_values_of_another_shape(shape):
+    # values of another shape would broadcast against the weights, (n, 1)
+    # to an (n, n) product; they are refused before any arithmetic
+    def f(ki, ks):
+        n = ki[0].size
+        return np.ones((n, 2) if shape == "n, 2" else (n + 1,))
+
+    with pytest.raises(DomainError, match=r"mc_integral.*shape"):
+        mc_integral(f, CFG_6D, McSpec(samples=MIN_SAMPLES))
+    # one value per sample or one for all are the two shapes accepted
+    spec = McSpec(samples=MIN_SAMPLES, seed=4)
+    assert mc_integral(lambda ki, ks: 1.0, CFG_6D, spec) == mc_integral(ONES, CFG_6D, spec)
+
+
+def test_one_batch_allocates_a_bounded_number_of_rows(monkeypatch):
+    # on one thread, a run of 100 k-sample batches holds one batch of draws
+    # (six sample-length rows) and cache-sized blocks for the rest: the
+    # proposal, kz, the amplitudes and the terms, and what f allocates
+    monkeypatch.setenv("QIONIZE_THREADS", "1")
+    spec = McSpec(samples=1_000_000, seed=1)
+    row = 8 * 100_000
+    cfg = default_check_configs(2, 5)[0]
+    for estimator in (lambda: mc_enhancement_ratio(cfg, spec), lambda: mc_integral(ONES, cfg, spec)):
+        tracemalloc.start()
+        try:
+            estimator()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (oracle._DRAW_ROWS + 2) * row, peak / row
