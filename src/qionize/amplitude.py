@@ -157,28 +157,19 @@ def pump_envelope(
     return _maybe_scalar(value, kpx, kpy)
 
 
-def _work_rows(work, count: int, *inputs):
-    """work, or count fresh float arrays of the inputs' broadcast shape (None reads as a scalar)."""
-    if work is None:
-        shape = np.broadcast_shapes(*(np.shape(k) for k in inputs))
-        work = [np.empty(shape) for _ in range(count)]
-    return work
-
-
-def _separable_6d(ki, ks, cfg: ExperimentConfig, work=None):
+def _separable_6d(ki, ks, cfg: ExperimentConfig, work):
     """Separable 6D amplitude with |ki| and |ks|; no kz check.
 
     ki and ks are (kx, ky, kz) triplets of float arrays. The entangled
     amplitude is this value times _entangling_6d at the same magnitudes.
-    work, if given, is four float arrays of the inputs' broadcast shape,
+    work (required) is four float arrays of the inputs' broadcast shape,
     none of them an input: the value, |ki| and |ks| are written into
-    work[0:3] and returned, work[3] is scratch. Without it the call
-    allocates its own. Squares that overflow give exp(-inf) = 0 without a
-    warning.
+    work[0:3] and returned, work[3] is scratch. Squares that overflow give
+    exp(-inf) = 0 without a warning.
     """
     kix, kiy, _ = ki
     ksx, ksy, _ = ks
-    value, mag_i, mag_s, tmp = _work_rows(work, 4, *ki, *ks)
+    value, mag_i, mag_s, tmp = work
     with np.errstate(over="ignore"):
         for (kx, ky, kz), mag in ((ki, mag_i), (ks, mag_s)):
             np.square(kx, out=mag)
@@ -203,21 +194,20 @@ def _separable_6d(ki, ks, cfg: ExperimentConfig, work=None):
     return value, mag_i, mag_s
 
 
-def _entangling_6d(ki, ks, mag_i, mag_s, cfg: ExperimentConfig, work=None):
+def _entangling_6d(ki, ks, mag_i, mag_s, cfg: ExperimentConfig, work):
     """Phase-matching factor sinc(L * delta_kz / 2) in the configured regime.
 
     The paraxial mismatch is kix^2 + kiy^2 over 2|ki|, plus the same for ks,
     minus the pump's (kix + ksx)^2 + (kiy + ksy)^2 over 2(|ki| + |ks|); the
     exact one is sqrt((|ki| + |ks|)^2 - (kix + ksx)^2 - (kiy + ksy)^2),
-    clamped at 0, minus kiz + ksz. work, if given, is three float arrays of
+    clamped at 0, minus kiz + ksz. work (required) is three float arrays of
     the inputs' broadcast shape, none of them an input: the factor is
-    written into work[0] and returned, the rest is scratch. Without it the
-    call allocates its own. A phase that overflows gives sinc(inf) = 0
-    without a warning.
+    written into work[0] and returned, the rest is scratch. A phase that
+    overflows gives sinc(inf) = 0 without a warning.
     """
     kix, kiy, kiz = ki
     ksx, ksy, ksz = ks
-    value, mismatch, tmp = _work_rows(work, 3, *ki, *ks, mag_i, mag_s)
+    value, mismatch, tmp = work
     with np.errstate(over="ignore"):
         if cfg.regime is Regime.PARAXIAL:
             for (kx, ky, _), mag, term in ((ki, mag_i, mismatch), (ks, mag_s, value)):
@@ -259,7 +249,8 @@ def eval_amplitude(ki, ks, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayL
     ki_safe = (kix, kiy, np.where(forward, kiz, 0.0))
     ks_safe = (ksx, ksy, np.where(forward, ksz, 0.0))
     # the separable value, |ki|, |ks|, then the phase matching's two rows
-    work = _work_rows(None, 6, *ki_safe, *ks_safe)
+    shape = np.broadcast_shapes(*(k.shape for k in ki_safe + ks_safe))
+    work = [np.empty(shape) for _ in range(6)]
     value, mag_i, mag_s = _separable_6d(ki_safe, ks_safe, cfg, work[:4])
     if kind is AmplitudeKind.ENTANGLED:
         np.multiply(value, _entangling_6d(ki_safe, ks_safe, mag_i, mag_s, cfg, work[3:]), out=value)
@@ -303,12 +294,13 @@ def eval_reduced(point, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike
 
     # the paraxial mismatch reads the difference only, the exact one each photon
     v = kix_arr - ksx_arr if cfg.regime is Regime.PARAXIAL else None
+    work = [np.empty(np.broadcast_shapes(kix_arr.shape, ksx_arr.shape)) for _ in range(4)]
     with np.errstate(over="ignore"):
-        value = _reduced_amplitude(kix_arr + ksx_arr, v, (kix_arr, ksx_arr), cfg, kind)
+        value = _reduced_amplitude(kix_arr + ksx_arr, v, (kix_arr, ksx_arr), cfg, kind, work)
     return _maybe_scalar(value, kix, ksx)
 
 
-def _reduced_amplitude(u, v, kx, cfg: ExperimentConfig, kind: AmplitudeKind, work=None):
+def _reduced_amplitude(u, v, kx, cfg: ExperimentConfig, kind: AmplitudeKind, work):
     """Unchecked reduced amplitude at pump sum u and difference v = kix - ksx.
 
     Callers that parametrize the plane by (u, v) pass them directly rather
@@ -320,12 +312,12 @@ def _reduced_amplitude(u, v, kx, cfg: ExperimentConfig, kind: AmplitudeKind, wor
     where it is not read. The exact mismatch clamps its roots at the
     kinematic edge, where the amplitude's sinc argument stays finite.
 
-    work, if given, is four float arrays of the broadcast shape of the
+    work (required) is four float arrays of the broadcast shape of the
     inputs, none of them an input: the value is written into work[0] and
     returned, the rest is scratch, and an exact entangled call leaves
-    kiz + ksz in work[1]. Without it the call allocates its own.
+    kiz + ksz in work[1].
     """
-    value, a, b, c = _work_rows(work, 4, u, v, *(kx or ()))
+    value, a, b, c = work
     # exp(-0.5 * (omega_p u)^2), one in-place step at a time
     np.square(np.multiply(u, cfg.pump_waist_um, out=value), out=value)
     np.exp(np.multiply(value, -0.5, out=value), out=value)

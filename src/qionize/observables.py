@@ -194,6 +194,8 @@ def load_kernel(path: str, name: Optional[str] = None) -> TabulatedKernel:
         ni, ns = int(header[2]), int(header[3])
     except ValueError:
         raise KernelError(f"{path}: non-integer grid sizes in header {lines[0]!r}") from None
+    if ni < 2 or ns < 2:
+        raise KernelError(f"{path}: kernel grid must be at least 2x2, got header {lines[0]!r}")
     rows = []
     for ln in lines[1:]:
         try:

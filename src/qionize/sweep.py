@@ -23,7 +23,6 @@ from .observables import (
     CONVENTIONS,
     Channel,
     RatioResult,
-    _initial_panels,
     builtin_channels,
     enhancement_ratio,
 )
@@ -165,12 +164,9 @@ def run_sweep(
     count = _worker_count(workers)
     if count <= 1 or len(tasks) <= 1:
         return [_evaluate_point(task) for task in tasks]
-    # longest first, by the starting grid's panel count, one task at a time:
-    # the costly long crystals no longer queue at the end of the grid
-    order = sorted(range(len(tasks)), key=lambda i: -math.prod(_initial_panels(tasks[i][0])))
+    # one task at a time, in grid order
     with ProcessPoolExecutor(max_workers=count) as pool:
-        done = dict(zip(order, pool.map(_evaluate_point, [tasks[i] for i in order], chunksize=1)))
-    return [done[i] for i in range(len(tasks))]
+        return list(pool.map(_evaluate_point, tasks))
 
 
 def _log_grid(lo: float, hi: float, count: int) -> Tuple[float, ...]:

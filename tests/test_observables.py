@@ -982,6 +982,12 @@ def test_kernel_file_errors(tmp_path):
         load_kernel(write("kernel v1 2 2\n0 0\n0\n"))
     with pytest.raises(KernelError, match="malformed"):
         load_kernel(write("kernel v1 2 2\n0 0\n0 oops\n"))
+    # sizes below 2 are refused at the header, with the path and the header line
+    for header in ("kernel v1 -2 -2", "kernel v1 -1 4", "kernel v1 1 2"):
+        path = write(header + "\n0 0\n0 0\n")
+        with pytest.raises(KernelError, match="at least 2x2") as info:
+            load_kernel(path)
+        assert path in str(info.value) and repr(header) in str(info.value)
 
 
 def test_kernel_comments_and_weird_wrapping(tmp_path):

@@ -329,10 +329,10 @@ def _expression_amplitude(ki, ks, cfg, kind):
 
 
 @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
-def test_eval_amplitude_is_bit_identical_with_and_without_work(regime):
+def test_eval_amplitude_is_bit_identical_in_workspace_rows(regime):
     # the Monte Carlo ratio evaluates the amplitude in workspace rows; that
-    # path, the allocating one and eval_amplitude all give the same bits,
-    # those of the whole-array expressions
+    # path and eval_amplitude give the same bits, those of the whole-array
+    # expressions
     cfg = default_check_configs(2, 5)[0].replace(regime=regime)
     n = 50_000
     raw = np.empty((oracle._DRAW_ROWS, n))
@@ -345,14 +345,11 @@ def test_eval_amplitude_is_bit_identical_with_and_without_work(regime):
     f_sep, mag_i, mag_s = _separable_6d(ki, ks, cfg, scratch[:4])
     f_ent = np.multiply(_entangling_6d(ki, ks, mag_i, mag_s, cfg, scratch[3:6]), f_sep,
                         out=scratch[3])
-    alloc_sep, alloc_mag_i, alloc_mag_s = _separable_6d(ki, ks, cfg)
-    alloc_ent = alloc_sep * _entangling_6d(ki, ks, alloc_mag_i, alloc_mag_s, cfg)
-    for kind, in_place, allocated in ((AmplitudeKind.SEPARABLE, f_sep, alloc_sep),
-                                      (AmplitudeKind.ENTANGLED, f_ent, alloc_ent)):
+    for kind, in_place in ((AmplitudeKind.SEPARABLE, f_sep), (AmplitudeKind.ENTANGLED, f_ent)):
         public = eval_amplitude(ki, ks, cfg, kind)
         reference = _expression_amplitude(ki, ks, cfg, kind)
         assert np.count_nonzero(public) > 0.9 * public.size
-        for values in (in_place, allocated, public):
+        for values in (in_place, public):
             assert np.array_equal(values.view(np.int64), reference.view(np.int64)), kind
 
 

@@ -103,9 +103,9 @@ def test_run_sweep_parallel_equals_serial(tiny_records):
     assert run_sweep(plan, workers=2) == serial
 
 
-def test_run_sweep_dispatches_longest_first_in_grid_order(monkeypatch, tmp_path):
-    # workers get the longest crystals first, one task at a time, and the
-    # records still come back in grid order, byte for byte as a serial run
+def test_run_sweep_dispatches_in_grid_order(monkeypatch, tmp_path):
+    # workers get the tasks in grid order, one at a time, and the records
+    # come back in grid order, byte for byte as a serial run
     dispatched = []
 
     class RecordingPool:
@@ -130,7 +130,7 @@ def test_run_sweep_dispatches_longest_first_in_grid_order(monkeypatch, tmp_path)
     monkeypatch.delenv("QIONIZE_THREADS", raising=False)
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
     records = run_sweep(plan, workers=2)
-    assert dispatched == [([6.0, 6.0, 3.0, 3.0, 0.5, 0.5], 1)]
+    assert dispatched == [([0.5, 0.5, 3.0, 3.0, 6.0, 6.0], 1)]
     assert records == serial
     for name, recs in (("serial", serial), ("parallel", records)):
         write_csv(recs, str(tmp_path / f"{name}.csv"))
