@@ -139,19 +139,21 @@ def _cmd_amplitude_grid(args) -> int:
     kind = AmplitudeKind(args.kind)
     if not 2 <= args.n <= MAX_GRID_N:
         raise _UsageError(f"--n must be between 2 and {MAX_GRID_N}, got {args.n}")
+    if args.out:
+        _check_writable("--out", args.out)
     k0 = cfg.k0
     # open square: keep strictly inside the kinematic edge
     edge = k0 * (1.0 - 1e-9)
     axis = np.linspace(-edge, edge, args.n)
-    values = eval_reduced((axis[:, None], axis[None, :]), cfg, kind)
     # plain-float repr keeps the cells parseable and exact
     cells = [repr(x) for x in axis.tolist()]
     target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with target as fh:
         fh.write("kix_per_um,ksx_per_um,amplitude\n")
-        # one grid row at a time, so memory stays at the size of the values
-        for kix, row in zip(cells, values):
-            fh.write("".join(f"{kix},{ksx},{v!r}\n" for ksx, v in zip(cells, row.tolist())))
+        # one grid row evaluated and written at a time: memory stays at a row
+        for kix, cell in zip(axis, cells):
+            row = eval_reduced((kix, axis), cfg, kind).tolist()
+            fh.write("".join(f"{cell},{ksx},{v!r}\n" for ksx, v in zip(cells, row)))
     return EXIT_OK
 
 

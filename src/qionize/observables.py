@@ -31,7 +31,6 @@ from .amplitude import (
 from .quadrature import (
     BLOCK_NODES,
     ConvergenceError,
-    EvenDomain,
     GridShare,
     IntegralResult,
     integrate_1d,
@@ -183,8 +182,11 @@ def load_kernel(path: str, name: Optional[str] = None) -> TabulatedKernel:
     n_s whitespace-separated values (row-major over the uniform normalized
     grid). ``#`` lines are comments.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise KernelError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise KernelError(f"{path}: empty kernel file")
     header = lines[0].split()
@@ -205,7 +207,10 @@ def load_kernel(path: str, name: Optional[str] = None) -> TabulatedKernel:
     if len(rows) != ni * ns:
         raise KernelError(f"{path}: expected {ni * ns} values, got {len(rows)}")
     values = np.array(rows, dtype=float).reshape(ni, ns)
-    return TabulatedKernel(name or path, values)
+    try:
+        return TabulatedKernel(name or path, values)
+    except KernelError as exc:
+        raise KernelError(f"{path}: {exc}") from None
 
 
 def save_kernel(path: str, kernel: TabulatedKernel) -> None:
@@ -403,7 +408,9 @@ def _reduced_terms(
     s -> -s exchanges the photons (kix <-> ksx) and t -> -t maps (kix, ksx)
     to (-ksx, -kix). The amplitude, its square and the obliquity are
     invariant under both, so the integrand is even in s and in t as long as
-    even_kernel is (see _even_kernel); _ANGLE_DOMAIN relies on that.
+    even_kernel is (see _even_kernel). The integrals therefore run over the
+    quadrant _ANGLE_DOMAIN, and the Jacobian carries the factor 4 of the
+    four quadrants: 4 * (1/2) jac_v jac_u = 2 jac_v jac_u.
 
     A call works in place in the module workspace and returns a tuple of
     fresh arrays, one per term: integrate_2d's row blocks then cost one
@@ -438,7 +445,7 @@ def _reduced_terms(
             kz_sum = work[1] if entangled else _kz_sum(kix, ksx, k0, work[1], work[2])
             w = np.divide(kz_sum, k0, out=kz_sum)
         kernel = even_kernel(kix, ksx) if weighted else None
-        np.multiply(0.5 * jac_v, jac, out=jac)
+        np.multiply(2.0 * jac_v, jac, out=jac)
         # each term's factors before the Jacobian build up in the free work[3]
         parts = []
         for power, obliquity, weight in terms:
@@ -469,18 +476,21 @@ def _reduced_integrand(
 
 
 _HALF_PI = 0.5 * math.pi
-# even in s and t: the rule evaluates the quadrant s, t >= 0 only
-_ANGLE_DOMAIN = EvenDomain(((-_HALF_PI, _HALF_PI), (-_HALF_PI, _HALF_PI)))
+# the quadrant s, t >= 0 of the square |s|, |t| < pi/2, whose integrand is
+# even in s and t: _reduced_terms counts each node four times
+_ANGLE_DOMAIN = ((0.0, _HALF_PI), (0.0, _HALF_PI))
 
 
 def _initial_panels(cfg: ExperimentConfig, reads_length: bool = True) -> Tuple[float, float]:
     # the phase-matching argument reaches L*k0/2 along s; along t it only
     # varies through the exact dispersion's curvature in u, roughly
-    # L*umax^2/(4 k0). Start with a few oscillations per 16-point panel and
-    # let per-axis refinement and freezing take it from there. Whole Python
-    # floats, inf past overflow: integrate_2d prices them against max_evals.
-    # An integrand that never reads L starts where L -> 0+ would, each
-    # positive cycle count rounding up to 1.
+    # L*umax^2/(4 k0). Start with a few oscillations per 16-point panel of
+    # the square |s|, |t| < pi/2, half as many panels on the quadrant
+    # _ANGLE_DOMAIN (rounded up), and let per-axis refinement and freezing
+    # take it from there. Whole Python floats, inf past overflow:
+    # integrate_2d prices them against max_evals. An integrand that never
+    # reads L starts where L -> 0+ would, each positive cycle count rounding
+    # up to 1.
     k0, length, umax = float(cfg.k0), float(cfg.crystal_length_um), float(_umax(cfg))
     if reads_length:
         cycles_s = float(np.ceil(length * k0 / 5.0))
@@ -488,9 +498,8 @@ def _initial_panels(cfg: ExperimentConfig, reads_length: bool = True) -> Tuple[f
     else:
         cycles_s = cycles_t = 1.0
     n_s = max(8.0, 4.0 + cycles_s)
-    if cfg.regime is Regime.PARAXIAL:
-        return (n_s, 2.0)
-    return (n_s, 2.0 + cycles_t)
+    n_t = 2.0 if cfg.regime is Regime.PARAXIAL else 2.0 + cycles_t
+    return (float(np.ceil(0.5 * n_s)), float(np.ceil(0.5 * n_t)))
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -607,8 +616,8 @@ def _reduced_integrals(
       schedule, evals and result. Without a kernel the separable integrands
       never read L and start from L -> 0+ panels. A kernel ratio's
       separable triple keeps the L-dependent start: from L -> 0+ the
-      quadrupole's I2_sep at (50, 3) um lands 7.8e-9 from its closed form
-      instead of 5e-16, moving R 6.2e-9.
+      quadrupole's R at (50, 3) um lands 3.9e-7 from its rel_tol 1e-10
+      reference instead of 3.2e-8.
     grid_nodes, if given, receives for each kind's value the integrand
     nodes actually evaluated, over all its routes.
     """

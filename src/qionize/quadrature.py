@@ -11,22 +11,18 @@ QuadratureSpec.tolerance(value).
 
 The rule is open (no endpoint evaluations) and fully deterministic, and
 max_evals is the one bound on its work: it never starts a refinement round
-the budget cannot pay for. A 2D caller that passes an EvenDomain promises the
-integrand is even about the centre of each axis; the rule then evaluates
-only the upper half of each axis's nodes, one quadrant of the grid at twice
-the weight, with the panels, refinement and error estimate of the plain
-rectangle. evals and max_evals count the nodes of the integral's own rule.
-Integrals whose integrands are components of one vector integrand can share
-its grids through a GridShare: each distinct grid is then evaluated once for
-all of them, so fewer nodes may be evaluated than their evals add up to,
-while every integral keeps its own schedule, evals and result. A grid
-is never built whole: the integrand is called on blocks of about
-BLOCK_NODES nodes, a run of consecutive nodes of one piece of the first
-axis times the whole second axis, and each block is reduced before the
-next is evaluated. Integrands must therefore be pointwise (a node's value
-depends on its own coordinates only) and broadcast: in 2D
-f(x_blk[:, None], y[None, :]) -> (len(x_blk), len(y)) array, in 1D
-f(x_blk) -> array of x_blk's shape.
+the budget cannot pay for. evals and max_evals count the nodes of the
+integral's own rule. Integrals whose integrands are components of one
+vector integrand can share its grids through a GridShare: each distinct
+grid is then evaluated once for all of them, so fewer nodes may be
+evaluated than their evals add up to, while every integral keeps its own
+schedule, evals and result. A grid is never built whole: the integrand is
+called on blocks of about BLOCK_NODES nodes, a run of consecutive nodes of
+one piece of the first axis times the whole second axis, and each block is
+reduced before the next is evaluated. Integrands must therefore be
+pointwise (a node's value depends on its own coordinates only) and
+broadcast: in 2D f(x_blk[:, None], y[None, :]) -> (len(x_blk), len(y))
+array, in 1D f(x_blk) -> array of x_blk's shape.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ import numpy as np
 from .units import DomainError, QuadratureSpec
 
 __all__ = [
-    "EvenDomain",
     "IntegralResult",
     "ConvergenceError",
     "integrate_1d",
@@ -54,18 +49,6 @@ _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 # (128 KiB each) stay in a per-core L2 cache; the fastest of 2^13..2^17 on
 # the L = 100 um ratio grids
 BLOCK_NODES = 2**14
-
-
-class EvenDomain(tuple):
-    """A rectangle ((x0, x1), (y0, y1)) whose integrand is even on both axes.
-
-    Passing one promises f(x0 + x1 - x, y) = f(x, y) = f(x, y0 + y1 - y).
-    The panel rule's nodes come in mirror pairs about each centre, so
-    integrate_2d evaluates only the upper half of each axis's nodes at
-    twice the weight: a quarter of the evaluations for the same rule.
-    """
-
-    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -118,22 +101,17 @@ def _check_edges(edges) -> Tuple[float, ...]:
     return points
 
 
-def _panel_rule(a: float, b: float, n_panels: int, even: bool = False):
+def _panel_rule(a: float, b: float, n_panels: int):
     # n_panels equal subintervals, each carrying one scaled Gauss rule
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
     w = (half[:, None] * _GL16_W[None, :]).ravel()
-    if even:
-        # 16 n nodes, ascending and mirror-paired about the centre (a middle
-        # panel of an odd count splits 8/8): keep the upper half, the lower
-        # half's partners carrying its weight
-        x, w = x[x.size // 2 :], 2.0 * w[w.size // 2 :]
     return x, w
 
 
-def _grid_sum(f, axes, panels, even=False):
+def _grid_sum(f, axes, panels):
     # the product rule's sums over the grid, one per array of the tuple f
     # returns, and its node count. The first axis is walked piece by piece
     # in runs of consecutive nodes, each run times the whole second axis
@@ -144,13 +122,13 @@ def _grid_sum(f, axes, panels, even=False):
     y = wy = None
     if len(axes) == 2:
         (y0, y1), (ny,) = axes[1], panels[1]
-        y, wy = _panel_rule(y0, y1, ny, even)
+        y, wy = _panel_rule(y0, y1, ny)
     cols = 1 if y is None else y.size
     rows = max(1, BLOCK_NODES // cols)
     totals, evals = [], 0
     edges = axes[0]
     for a, b, n in zip(edges, edges[1:], panels[0]):
-        x, w = _panel_rule(a, b, n, even)
+        x, w = _panel_rule(a, b, n)
         for i in range(0, x.size, rows):
             x_blk = x[i : i + rows]
             if y is None:
@@ -178,9 +156,9 @@ class GridShare:
 
     f is called like an integrand but returns a tuple of arrays, component i
     for the i-th integral, each a fresh array or a buffer valid until f's
-    next call. Each distinct grid (axes, panel counts, fold) is evaluated
-    once, for every component, and its sums are kept; nodes counts the
-    nodes evaluated. component(i, g) marks g, the i-th component as an
+    next call. Each distinct grid (axes and panel counts) is evaluated once,
+    for every component, and its sums are kept; nodes counts the nodes
+    evaluated. component(i, g) marks g, the i-th component as an
     integrand of its own, so that integrate_2d and integrate_1d take its
     grid sums from here while g keeps its own schedule, evals and result. A
     wrapper around the marked integrand hides the mark: g is then evaluated
@@ -201,16 +179,16 @@ class GridShare:
         marked.grid_share = self, index
         return marked
 
-    def grid_sum(self, index: int, axes, panels, even: bool) -> Tuple[float, int]:
-        key = (tuple(axes), tuple(tuple(counts) for counts in panels), even)
+    def grid_sum(self, index: int, axes, panels) -> Tuple[float, int]:
+        key = (tuple(axes), tuple(tuple(counts) for counts in panels))
         if key not in self._sums:
-            self._sums[key] = _grid_sum(self._f, axes, panels, even)
+            self._sums[key] = _grid_sum(self._f, axes, panels)
             self.nodes += self._sums[key][1]
         sums, evals = self._sums[key]
         return sums[index], evals
 
 
-def _refine(f, axes, spec: Optional[QuadratureSpec], initial_panels, even=False) -> IntegralResult:
+def _refine(f, axes, spec: Optional[QuadratureSpec], initial_panels) -> IntegralResult:
     # the one refinement loop: axes are tuples of piece edges, and
     # initial_panels holds one starting count per piece, axis after axis
     spec = spec if spec is not None else QuadratureSpec()
@@ -225,8 +203,8 @@ def _refine(f, axes, spec: Optional[QuadratureSpec], initial_panels, even=False)
     starts = iter(max(2, n) for n in hints)
     panels = [[next(starts) for _ in range(count)] for count in pieces]
     method = "gauss_1d" if len(axes) == 1 else "tensor_gauss"
-    # evaluated nodes per panel of every axis: 16 each, or the upper 8
-    panel_evals = (8 if even else 16) ** len(axes)
+    # nodes per panel of every axis
+    panel_evals = 16 ** len(axes)
     max_evals = int(spec.max_evals)
 
     # an axis whose doubling delta falls far below tolerance is frozen: its
@@ -248,11 +226,11 @@ def _refine(f, axes, spec: Optional[QuadratureSpec], initial_panels, even=False)
             return IntegralResult(best, err, evals, False, method)
         if evals == 0:
             panels = [[int(n) for n in counts] for counts in panels]
-            value, evals = share.grid_sum(index, axes, panels, even)
+            value, evals = share.grid_sum(index, axes, panels)
         trials = {}
         for a in live:
             doubled = [[2 * n for n in c] if b == a else c for b, c in enumerate(panels)]
-            trial, n = share.grid_sum(index, axes, doubled, even)
+            trial, n = share.grid_sum(index, axes, doubled)
             evals += n
             deltas[a] = abs(trial - value)
             trials[a] = doubled, trial
@@ -294,20 +272,16 @@ def integrate_2d(
     axis, whole or inf); it never changes what converged means, only how
     fast the rule gets there. Identical inputs produce bit-identical results.
 
-    An EvenDomain promises f(x0 + x1 - x, y) = f(x, y) = f(x, y0 + y1 - y);
-    f is then called only on nodes at or above both centres, and evals and
-    max_evals count those nodes, a quarter of the plain rectangle's. An
-    integrand that breaks the promise gets a wrong value. An f marked by
-    GridShare.component takes its grid sums from the share, which may have
-    evaluated them already for another component; evals still count every
-    node of this integral's rule.
+    An f marked by GridShare.component takes its grid sums from the share,
+    which may have evaluated them already for another component; evals still
+    count every node of this integral's rule.
     """
     try:
         (x0, x1), (y0, y1) = domain
     except (TypeError, ValueError):
         raise DomainError(f"domain must be ((x0, x1), (y0, y1)), got {domain!r}") from None
     axes = [_check_edges((x0, x1)), _check_edges((y0, y1))]
-    return _refine(f, axes, spec, initial_panels, isinstance(domain, EvenDomain))
+    return _refine(f, axes, spec, initial_panels)
 
 
 def integrate_1d(

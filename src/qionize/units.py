@@ -223,9 +223,12 @@ def load_config(path_or_file: Union[str, "io.TextIOBase"]) -> ExperimentConfig:
         text = path_or_file.read()
         source = getattr(path_or_file, "name", "<config>")
     else:
-        with open(path_or_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
         source = str(path_or_file)
+        try:
+            with open(path_or_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{source}: not UTF-8 text: {exc}") from None
 
     pairs = _parse_pairs(text, source)
 

@@ -76,7 +76,7 @@ def test_normalization_narrowband_closed_form():
     got = normalization(AmplitudeKind.SEPARABLE, cfg)
     analytic = 1.0 / math.sqrt(2.0 * cfg.k0 * math.sqrt(math.pi) / 50.0 - 1.0 / 50.0**2)
     assert got.value == pytest.approx(analytic, rel=1e-6)
-    assert got.value == pytest.approx(0.8612593624720228, rel=1e-12)  # regression pin
+    assert got.value == pytest.approx(0.8612593700347234, rel=1e-12)  # regression pin
     assert got.factor == FilterFactor(g2=-1)
 
 
@@ -86,7 +86,7 @@ def test_f_factor_narrowband_leading_order():
     got = f_factor(AmplitudeKind.SEPARABLE, cfg)
     lead = 8.0 * cfg.k0 / (math.sqrt(math.pi) * 50.0)
     assert got.value == pytest.approx(lead, rel=2e-3)
-    assert got.value == pytest.approx(1.715580707919615, rel=1e-12)  # regression pin
+    assert got.value == pytest.approx(1.7155807075038392, rel=1e-12)  # regression pin
     assert got.factor == FilterFactor(g1=4, g2=-2)
 
 
@@ -185,7 +185,8 @@ def test_long_crystal_integrands_see_only_cache_sized_blocks(monkeypatch):
         return integrate_2d(recorded, domain, spec, initial_panels)
 
     monkeypatch.setattr(observables, "integrate_2d", recording_integrate_2d)
-    res = enhancement_ratio(ExperimentConfig(pump_waist_um=100.0, crystal_length_um=100.0))
+    cfg = ExperimentConfig(pump_waist_um=100.0, crystal_length_um=100.0)
+    res = enhancement_ratio(cfg)
     assert res.converged
     evals = sum(
         res.diagnostics[f"{name}_{kind}"].evals
@@ -193,7 +194,10 @@ def test_long_crystal_integrands_see_only_cache_sized_blocks(monkeypatch):
         for kind in ("ent", "sep")
     )
     assert sum(n for n, _ in calls) == evals
-    assert max(n for n, _ in calls) < evals // 100
+    # no block is a whole grid: the smallest grid of an entangled integral,
+    # its start, spans more than four blocks
+    start_nodes = 256 * math.prod(observables._initial_panels(cfg))
+    assert max(n for n, _ in calls) < start_nodes // 4
     for n, ny in calls:
         assert n <= max(quadrature.BLOCK_NODES, ny)
 
@@ -275,14 +279,13 @@ def test_strict_raises_on_budget_exhaustion():
 
 
 def test_ratio_eval_schedule_pin():
-    # each integral's evals at the pinned (50, 3) um config: the folded rule
-    # evaluates a quarter of the (748800, 1347840, ...) nodes of the whole
-    # square on the same panels; a change of panels or fold shows up here.
-    # The separable integrands never read L and start from L -> 0+ panels.
+    # each integral's evals at the pinned (50, 3) um config, on the quadrant
+    # s, t >= 0; a change of panels shows up here. The separable integrands
+    # never read L and start from L -> 0+ panels.
     res = enhancement_ratio(ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0))
     names = ("I1_ent", "I2_ent", "I2w_ent", "I1_sep", "I2_sep", "I2w_sep")
     evals = tuple(res.diagnostics[name].evals for name in names)
-    assert evals == (187200, 336960, 336960, 7680, 19968, 13824)
+    assert evals == (250880, 250880, 250880, 10240, 10240, 10240)
 
 
 def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
@@ -366,7 +369,7 @@ def test_grid_nodes_count_the_shared_evaluations():
                     if spec[0].value == kind)
         assert res.diagnostics["grid_nodes"][kind] < evals, kind
     pinned = enhancement_ratio(ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0))
-    assert pinned.diagnostics["grid_nodes"] == {"entangled": 336960, "separable": 19968}
+    assert pinned.diagnostics["grid_nodes"] == {"entangled": 250880, "separable": 10240}
 
 
 def test_shared_grids_see_only_cache_sized_blocks(monkeypatch):
@@ -429,7 +432,7 @@ def test_ratio_refuses_subnormal_coherent_squares():
     # subnormal and f = I1^2 / I2w loses precision, so R is refused there;
     # below that R keeps its bits
     cfg = ExperimentConfig(crystal_length_um=1.0, pump_waist_um=1e150)
-    assert enhancement_ratio(cfg).R.hex() == "0x1.21f9b4420301cp-1"
+    assert enhancement_ratio(cfg).R.hex() == "0x1.21f9b44203028p-1"
     for waist in (1e156, 1e163, 4e163):
         with pytest.raises(DomainError, match="pump_waist_um"):
             enhancement_ratio(cfg.replace(pump_waist_um=waist))
@@ -438,6 +441,36 @@ def test_ratio_refuses_subnormal_coherent_squares():
         for tiny in (1e-155, 0.0):
             with pytest.raises(DomainError, match="pump_waist_um"):
                 ratio_from_integrals({**values, name: tiny})
+
+
+# the benchmark panel, then points where an earlier rule, which evaluated the
+# quadrant's nodes at four times the weight on the panels of the square,
+# understated an error (31.6 is the fig2a waist 10^1.5)
+COVERAGE_POINTS_UM = (
+    (0.01, 1.0), (1.0, 10.0), (1.0, 50.0), (50.0, 3.0), (100.0, 100.0),
+    (0.01, 10.0), (0.1, 10.0), (0.1, 10**1.5), (0.1, 100.0), (1.0, 10**1.5), (10.0, 10.0),
+    (100.0, 10.0),
+)
+
+
+@pytest.mark.parametrize("length, waist", COVERAGE_POINTS_UM)
+def test_exact_error_estimates_cover_the_true_error(length, waist):
+    # each exact dipole integral against the same one-term integrand over the
+    # whole square |s|, |t| < pi/2 at rel_tol 1e-12, a quarter of it: the
+    # reference assumes no evenness, and its panels are as wide as the
+    # quadrant's
+    cfg = ExperimentConfig(crystal_length_um=length, pump_waist_um=waist)
+    res = enhancement_ratio(cfg)
+    half_pi = 0.5 * math.pi
+    square = ((-half_pi, half_pi), (-half_pi, half_pi))
+    tight = QuadratureSpec(rel_tol=1e-12)
+    panels = tuple(2 * n for n in observables._initial_panels(cfg))
+    for name, spec in INTEGRALS.items():
+        got = res.diagnostics[name]
+        ref = integrate_2d(observables._reduced_integrand(cfg, *spec, None), square, tight, panels)
+        assert ref.converged, name
+        error = abs(got.value - 0.25 * ref.value)
+        assert error <= got.error_estimate, (name, error, got.error_estimate)
 
 
 # ---------------------------------------------------------------- paraxial routes
@@ -729,7 +762,7 @@ def _per_node_integrand(cfg, kind, power, obliquity, even_kernel, s, t):
         value = value * (2.0 if paraxial else kz_sum / k0)
     if even_kernel is not None:
         value = value * even_kernel(kix, ksx)
-    return value * (0.5 * jac_v * jac)
+    return value * (2.0 * jac_v * jac)
 
 
 @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
@@ -784,33 +817,37 @@ def test_paraxial_phase_matching_is_evaluated_once_per_row(with_kernel, monkeypa
 @pytest.mark.parametrize("shape", [(7, 7), (7, 4)])
 def test_even_kernel_keeps_the_coherent_integral(shape):
     # an asymmetric kernel, averaged over both reflections and integrated on
-    # the folded quadrant, gives the raw kernel's integral over the square;
-    # a loose tolerance keeps the kinked bilinear kernel cheap to converge
+    # the quadrant, gives a quarter of the raw kernel's integrand over the
+    # whole square |s|, |t| < pi/2; a loose tolerance keeps the kinked
+    # bilinear kernel cheap to converge
     rng = np.random.default_rng(20261018)
     raw = TabulatedKernel("random", rng.normal(size=shape))
     cfg = ExperimentConfig(
         crystal_length_um=1.0, pump_waist_um=1.0, quadrature=QuadratureSpec(rel_tol=1e-4)
     )
     k0 = cfg.k0
-    square = tuple(observables._ANGLE_DOMAIN)
-    assert not isinstance(square, quadrature.EvenDomain)
+    half_pi = 0.5 * math.pi
+    assert observables._ANGLE_DOMAIN == ((0.0, half_pi), (0.0, half_pi))
+    square = ((-half_pi, half_pi), (-half_pi, half_pi))
     panels = observables._initial_panels(cfg)
+    # the square's panels as wide as the quadrant's
+    square_panels = tuple(2 * n for n in panels)
     for kind, name in ((AmplitudeKind.ENTANGLED, "I1_ent"), (AmplitudeKind.SEPARABLE, "I1_sep")):
         f_raw = observables._reduced_integrand(
             cfg, kind, 1, False, lambda kix, ksx: raw.evaluate(kix, ksx, k0)
         )
-        whole = integrate_2d(f_raw, square, cfg.quadrature, panels)
-        folded = observables._reduced_integrals(cfg, [name], raw)[name]
-        assert folded.converged and whole.converged
-        assert folded.value == pytest.approx(whole.value, rel=1e-12)
-        assert 4 * folded.evals == whole.evals
+        whole = integrate_2d(f_raw, square, cfg.quadrature, square_panels)
+        quadrant = observables._reduced_integrals(cfg, [name], raw)[name]
+        assert quadrant.converged and whole.converged
+        assert quadrant.value == pytest.approx(0.25 * whole.value, rel=1e-12)
+        assert 4 * quadrant.evals == whole.evals
         # averaging over photon exchange alone is not enough
         def exchange_only(kix, ksx):
             return 0.5 * (raw.evaluate(kix, ksx, k0) + raw.evaluate(ksx, kix, k0))
 
         f_wrong = observables._reduced_integrand(cfg, kind, 1, False, exchange_only)
         wrong = integrate_2d(f_wrong, observables._ANGLE_DOMAIN, cfg.quadrature, panels)
-        assert abs(wrong.value / whole.value - 1.0) > 1e-6
+        assert abs(wrong.value / (0.25 * whole.value) - 1.0) > 1e-6
 
 
 # ---------------------------------------------------------------- channels
@@ -856,7 +893,7 @@ def test_quadrupole_with_even_kernel():
     cfg = ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0)
     ch = QUADRUPOLE.with_kernel(make_synthetic_kernel(Parity.EVEN))
     res = enhancement_ratio(cfg, channel=ch)
-    assert res.R == pytest.approx(0.4467151790444968, rel=1e-9)  # regression pin
+    assert res.R == pytest.approx(0.44671515046521015, rel=1e-9)  # regression pin
     assert res.channel == "quadrupole"
     assert res.diagnostics["kernel"] == "model_kernel:synthetic_parity_even"
 
@@ -988,6 +1025,15 @@ def test_kernel_file_errors(tmp_path):
         with pytest.raises(KernelError, match="at least 2x2") as info:
             load_kernel(path)
         assert path in str(info.value) and repr(header) in str(info.value)
+    # a file that is not UTF-8, and a table holding nan, are refused with the path
+    path = write("kernel v1 2 2\n0 nan\n0 0\n")
+    with pytest.raises(KernelError, match="non-finite") as info:
+        load_kernel(path)
+    assert path in str(info.value)
+    (tmp_path / "bad.kern").write_bytes(b"\xffkernel v1 2 2\n0 0\n0 0\n")
+    with pytest.raises(KernelError, match="not UTF-8") as info:
+        load_kernel(path)
+    assert path in str(info.value)
 
 
 def test_kernel_comments_and_weird_wrapping(tmp_path):

@@ -288,60 +288,6 @@ def test_wrong_shape_integrand_raises_domain_error_naming_shape():
         integrate_2d(lambda x, y: 1.0, ((0.0, 1.0), (0.0, 1.0)), TIGHT)
 
 
-def _even_about_2_and_0(x, y):
-    # even about x = 2 and about y = 0, with structure on both axes
-    dx = x - 2.0
-    return np.exp(-1.5 * dx * dx) * np.cos(4.0 * dx) * (1.0 + 0.3 * y * y) * np.cos(2.5 * y)
-
-
-@pytest.mark.parametrize("initial_panels", [(3, 5), (4, 2)])
-def test_even_domain_matches_plain_rectangle_on_a_quadrant(initial_panels):
-    box = ((1.0, 3.0), (-2.0, 2.0))
-    seen = []
-
-    def recording(x, y):
-        seen.append((float(np.min(x)), float(np.min(y))))
-        return _even_about_2_and_0(x, y)
-
-    plain = integrate_2d(_even_about_2_and_0, box, TIGHT, initial_panels)
-    folded = integrate_2d(recording, quadrature.EvenDomain(box), TIGHT, initial_panels)
-    assert plain.converged
-    assert folded.converged == plain.converged
-    assert folded.value == pytest.approx(plain.value, rel=1e-13)
-    assert 4 * folded.evals == plain.evals
-    assert folded.method == "tensor_gauss"
-    # odd and even panel counts alike: only nodes above both centres
-    assert min(x for x, _ in seen) > 2.0
-    assert min(y for _, y in seen) > 0.0
-
-
-def test_even_domain_budget_counts_evaluated_nodes():
-    # even about x = 2 and y = 0; needs a second refinement round from (2, 2)
-    def f(x, y):
-        return np.cos(30.0 * (x - 2.0)) * np.cos(25.0 * y) + 1.0
-
-    box = ((1.0, 3.0), (-2.0, 2.0))
-    plain = integrate_2d(f, box, TIGHT)
-    folded_evals = plain.evals // 4
-    assert folded_evals > 64 * (4 + 8 + 8)
-
-    def run(domain, max_evals):
-        spec = QuadratureSpec(rel_tol=TIGHT.rel_tol, abs_tol=TIGHT.abs_tol, max_evals=max_evals)
-        return integrate_2d(f, domain, spec)
-
-    # the whole rectangle cannot pay for the quadrant's budget; the quadrant's
-    # next-round budget check must count the quadrant's nodes to get there
-    assert not run(box, folded_evals).converged
-    for max_evals in (folded_evals, plain.evals):
-        res = run(quadrature.EvenDomain(box), max_evals)
-        assert res.evals == folded_evals
-        assert res.converged, max_evals
-    # one node short, the last round is priced exactly and never started
-    res = run(quadrature.EvenDomain(box), folded_evals - 1)
-    assert res.evals <= folded_evals - 1
-    assert not res.converged
-
-
 # ---------------------------------------------------------------- piecewise 1D rule
 
 

@@ -460,7 +460,7 @@ def test_cli_flux_paraxial(capsys):
     assert value > 0.0
 
 
-def test_cli_amplitude_grid(tmp_path, capsys):
+def test_cli_amplitude_grid(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "grid.csv")
     assert main(["amplitude-grid", "--n", "32", "--out", path, "--pump-waist", "5"]) == 0
     lines = open(path).read().splitlines()
@@ -474,8 +474,9 @@ def test_cli_amplitude_grid(tmp_path, capsys):
         assert main(["amplitude-grid", "--n", n]) == 1
         err = capsys.readouterr().err
         assert "--n" in err and "Traceback" not in err
-    # the CSV is written one grid row at a time: the traced peak stays within
-    # a few copies of the values, far below the 11 MB of text at --n 512
+    # each grid row is evaluated and written in turn: the traced peak stays
+    # below a quarter of one n x n array of values, far below the 11 MB of
+    # text at --n 512
     n = 512
     tracemalloc.start()
     try:
@@ -484,7 +485,17 @@ def test_cli_amplitude_grid(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert os.path.getsize(path) > 10 * 2**20
-    assert peak <= 8 * n * n * 8, peak
+    assert peak <= n * n * 8 // 4, peak
+    # an --out that cannot be written fails before any row is evaluated
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was evaluated before --out was checked")
+
+    monkeypatch.setattr(cli, "eval_reduced", no_rows)
+    for out in (str(tmp_path / "nonexistent" / "grid.csv"), str(tmp_path)):
+        assert main(["amplitude-grid", "--n", "8", "--out", out]) == 1, out
+        err = capsys.readouterr().err
+        assert "--out" in err and out in err and "Traceback" not in err, out
+    assert not (tmp_path / "nonexistent").exists()
 
 
 def test_cli_sweep_writes_both_formats(tmp_path, capsys):
@@ -573,8 +584,23 @@ def test_cli_rejects_retired_quadrature_method(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_missing_config_file(capsys):
+def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["ratio", "--config", "/nonexistent/qionize.cfg"]) == 1
+    # an undecodable config or kernel file, and a kernel table holding nan,
+    # are usage errors that name the file
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    nan = tmp_path / "nan.kern"
+    nan.write_text("kernel v1 2 2\n0 nan\n0 0\n")
+    capsys.readouterr()
+    for argv, path in (
+        (["ratio", "--config", str(bad)], bad),
+        (["ratio", "--channel", "quadrupole", "--kernel", str(bad)], bad),
+        (["ratio", "--channel", "quadrupole", "--kernel", str(nan)], nan),
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err, argv
 
 
 def test_cli_version(capsys):

@@ -140,6 +140,11 @@ def test_load_config_from_path(tmp_path):
     p.write_text(CONFIG_TEXT, encoding="utf-8")
     cfg = load_config(str(p))
     assert cfg.pump_waist_um == 12.5
+    # a file that is not UTF-8 is refused with its path
+    p.write_bytes(b"\xff" + CONFIG_TEXT.encode("utf-8"))
+    with pytest.raises(ConfigError, match="not UTF-8") as info:
+        load_config(str(p))
+    assert str(p) in str(info.value)
 
 
 def test_load_config_unknown_key_is_named():
