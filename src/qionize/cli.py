@@ -114,6 +114,8 @@ def _cmd_ratio(args) -> int:
     channel = builtin_channels()[args.channel]
     if args.kernel:
         channel = channel.with_kernel(load_kernel(args.kernel))
+    elif channel.ell > 1:
+        raise _UsageError(f"--channel {channel.name} needs a kernel table: pass --kernel FILE")
     result = enhancement_ratio(cfg, channel)
     print(f"R = {result.R!r}")
     print(f"err_R = {result.err_R:.3e}")

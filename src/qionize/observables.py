@@ -463,18 +463,6 @@ def _reduced_terms(
     return f
 
 
-def _reduced_integrand(
-    cfg: ExperimentConfig,
-    kind: AmplitudeKind,
-    power: int,
-    obliquity: bool,
-    even_kernel: Optional[Callable],
-) -> Callable:
-    """The one-term _reduced_terms as an integrand of its own, weighted by even_kernel if given."""
-    terms = _reduced_terms(cfg, kind, ((power, obliquity, even_kernel is not None),), even_kernel)
-    return lambda s, t: terms(s, t)[0]
-
-
 _HALF_PI = 0.5 * math.pi
 # the quadrant s, t >= 0 of the square |s|, |t| < pi/2, whose integrand is
 # even in s and t: _reduced_terms counts each node four times
@@ -611,10 +599,10 @@ def _reduced_integrals(
     - otherwise one call of the module-global integrate_2d, looked up at
       call time; the exact regime makes its six calls in INTEGRALS order.
       The 2D integrals of one kind are the terms of one _reduced_terms
-      integrand and share its grids through one GridShare: each grid that
-      any of them refines is evaluated once, while each keeps its own
-      schedule, evals and result. Without a kernel the separable integrands
-      never read L and start from L -> 0+ panels. A kernel ratio's
+      integrand, their only integrand: each is a component of the kind's
+      GridShare, so each grid that any of them refines is evaluated once,
+      while each keeps its own schedule, evals and result. Without a kernel
+      the separable integrands never read L and start from L -> 0+ panels. A kernel ratio's
       separable triple keeps the L-dependent start: from L -> 0+ the
       quadrupole's R at (50, 3) um lands 3.9e-7 from its rel_tol 1e-10
       reference instead of 3.2e-8.
@@ -636,7 +624,7 @@ def _reduced_integrals(
               for kind, terms in planar.items()}
     computed: Dict[str, IntegralResult] = {}
     for name in names:
-        kind, power, obliquity = INTEGRALS[name]
+        kind, power, _ = INTEGRALS[name]
         separable = kind is AmplitudeKind.SEPARABLE
         terms = planar[kind]
         if name not in terms:
@@ -647,9 +635,7 @@ def _reduced_integrals(
                 computed[norm] = route(cfg, power)
             computed[name] = computed[norm] if norm == name else _paraxial_i2w(computed[norm])
         else:
-            weight = even_kernel if terms[name][2] else None
-            own = _reduced_integrand(cfg, kind, power, obliquity, weight)
-            f = shares[kind].component(list(terms).index(name), own)
+            f = shares[kind].component(list(terms).index(name))
             panels = _initial_panels(cfg, reads_length=kernel is not None or not separable)
             computed[name] = integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, panels)
     if grid_nodes is not None:

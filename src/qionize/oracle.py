@@ -252,6 +252,10 @@ def _run_batches(op: str, cfg: ExperimentConfig, spec: McSpec, width: int, accum
             accepted_w2 += float(np.sum(np.square(contributions, out=contributions)))
         return sums, rejected, accepted_w, accepted_w2
 
+    # each thread claims its next batch from `pending`: pool.map would hold
+    # one Future per batch from the start (about 1.8 KB each, and McSpec
+    # allows 2e5 batches), and on a failure `stop` ends the run after each
+    # thread's current batch, with no queue of futures left to cancel
     def work():
         raw_buffer = np.empty(_DRAW_ROWS * max(sizes))
         block_buffer = np.empty(rows * BLOCK_NODES)
@@ -360,20 +364,20 @@ def mc_enhancement_ratio(
         np.multiply(f_ent, f_sep, out=f_ent)
         amplitudes = {AmplitudeKind.ENTANGLED: f_ent, AmplitudeKind.SEPARABLE: f_sep}
         if paraxial:
-            obliquity = CONVENTIONS["obliquity_paraxial"]
+            w = CONVENTIONS["obliquity_paraxial"]
         else:
             np.divide(ks[2], mag_s, out=mag_s)
-            obliquity = np.add(np.divide(ki[2], mag_i, out=mag_i), mag_s, out=mag_i)
+            w = np.add(np.divide(ki[2], mag_i, out=mag_i), mag_s, out=mag_i)
         term = scratch[4]
         sums = []
-        # weight * F^power, times the obliquity where it applies
-        for kind, power, weighted in INTEGRALS.values():
+        # weight * F^power, times the obliquity w where it applies
+        for kind, power, obliquity in INTEGRALS.values():
             amplitude = amplitudes[kind]
             if power == 2:
                 amplitude = np.square(amplitude, out=term)
             np.multiply(weights, amplitude, out=term)
-            if weighted:
-                np.multiply(term, obliquity, out=term)
+            if obliquity:
+                np.multiply(term, w, out=term)
             sums.append(np.sum(term))
         # the effective sample size is over the dominant positive accumulator,
         # since F_sep^2 bounds every other integrand pointwise

@@ -12,17 +12,17 @@ QuadratureSpec.tolerance(value).
 The rule is open (no endpoint evaluations) and fully deterministic, and
 max_evals is the one bound on its work: it never starts a refinement round
 the budget cannot pay for. evals and max_evals count the nodes of the
-integral's own rule. Integrals whose integrands are components of one
-vector integrand can share its grids through a GridShare: each distinct
-grid is then evaluated once for all of them, so fewer nodes may be
-evaluated than their evals add up to, while every integral keeps its own
-schedule, evals and result. A grid is never built whole: the integrand is
-called on blocks of about BLOCK_NODES nodes, a run of consecutive nodes of
-one piece of the first axis times the whole second axis, and each block is
-reduced before the next is evaluated. Integrands must therefore be
-pointwise (a node's value depends on its own coordinates only) and
-broadcast: in 2D f(x_blk[:, None], y[None, :]) -> (len(x_blk), len(y))
-array, in 1D f(x_blk) -> array of x_blk's shape.
+integral's own rule. The integrals of the components of one vector
+integrand f can share its grids: GridShare(f).component(i) is component i
+as an integrand, and each distinct grid is evaluated once for all of them,
+so fewer nodes may be evaluated than their evals add up to, while every
+integral keeps its own schedule, evals and result. A grid is never built
+whole: the integrand is called on blocks of about BLOCK_NODES nodes, a run
+of consecutive nodes of one piece of the first axis times the whole second
+axis, and each block is reduced before the next is evaluated. Integrands
+must therefore be pointwise (a node's value depends on its own coordinates
+only) and broadcast: in 2D f(x_blk[:, None], y[None, :]) ->
+(len(x_blk), len(y)) array, in 1D f(x_blk) -> array of x_blk's shape.
 """
 
 from __future__ import annotations
@@ -158,11 +158,10 @@ class GridShare:
     for the i-th integral, each a fresh array or a buffer valid until f's
     next call. Each distinct grid (axes and panel counts) is evaluated once,
     for every component, and its sums are kept; nodes counts the nodes
-    evaluated. component(i, g) marks g, the i-th component as an
-    integrand of its own, so that integrate_2d and integrate_1d take its
-    grid sums from here while g keeps its own schedule, evals and result. A
-    wrapper around the marked integrand hides the mark: g is then evaluated
-    on its own grids, and those nodes count as well.
+    evaluated. component(i) is the i-th component as a marked integrand:
+    integrate_2d and integrate_1d take its grid sums from here, while it
+    keeps its own schedule, evals and result. A wrapper hides the mark; the
+    component then evaluates all of f on its own grids, and counts them.
     """
 
     def __init__(self, f: Callable) -> None:
@@ -170,9 +169,9 @@ class GridShare:
         self._sums: dict = {}
         self.nodes = 0
 
-    def component(self, index: int, g: Callable) -> Callable:
+    def component(self, index: int) -> Callable:
         def marked(*nodes):
-            values = g(*nodes)
+            values = self._f(*nodes)[index]
             self.nodes += np.size(values)
             return values
 

@@ -44,6 +44,14 @@ K0_DIPOLE = 19.020678267107723
 INTEGRAL_NAMES = ("I1_ent", "I2_ent", "I2w_ent", "I1_sep", "I2_sep", "I2w_sep")
 
 
+def _one_term(cfg, kind, power, obliquity, even_kernel):
+    """The reduced integrand of one INTEGRALS entry: _reduced_terms with that one term."""
+    terms = observables._reduced_terms(
+        cfg, kind, ((power, obliquity, even_kernel is not None),), even_kernel
+    )
+    return lambda s, t: terms(s, t)[0]
+
+
 # ---------------------------------------------------------------- symbolic algebra
 
 
@@ -307,7 +315,7 @@ def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
     assert len(calls) == len(INTEGRALS)
     for (values, result), (name, spec) in zip(calls, INTEGRALS.items()):
         assert res.diagnostics[name] is result, name
-        expected = observables._reduced_integrand(cfg, *spec, None)(s, t)
+        expected = _one_term(cfg, *spec, None)(s, t)
         np.testing.assert_array_equal(values, expected, err_msg=name)
 
 
@@ -467,7 +475,7 @@ def test_exact_error_estimates_cover_the_true_error(length, waist):
     panels = tuple(2 * n for n in observables._initial_panels(cfg))
     for name, spec in INTEGRALS.items():
         got = res.diagnostics[name]
-        ref = integrate_2d(observables._reduced_integrand(cfg, *spec, None), square, tight, panels)
+        ref = integrate_2d(_one_term(cfg, *spec, None), square, tight, panels)
         assert ref.converged, name
         error = abs(got.value - 0.25 * ref.value)
         assert error <= got.error_estimate, (name, error, got.error_estimate)
@@ -488,8 +496,8 @@ def _ratio_by_2d_quadrature(cfg):
     """R and err_R from integrate_2d of the reduced integrand, all six integrals."""
     panels = observables._initial_panels(cfg)
     results = {
-        name: integrate_2d(observables._reduced_integrand(cfg, *spec, None),
-                           observables._ANGLE_DOMAIN, cfg.quadrature, panels)
+        name: integrate_2d(_one_term(cfg, *spec, None), observables._ANGLE_DOMAIN,
+                           cfg.quadrature, panels)
         for name, spec in INTEGRALS.items()
     }
     assert all(result.converged for result in results.values())
@@ -605,7 +613,7 @@ def test_reduced_integrand_is_even_in_s_and_t(kind, regime):
     cfg = ExperimentConfig(crystal_length_um=20.0, pump_waist_um=1.0, regime=regime)
     for power in (1, 2):
         for obliquity in (False, True):
-            f = observables._reduced_integrand(cfg, kind, power, obliquity, None)
+            f = _one_term(cfg, kind, power, obliquity, None)
             base = f(s, t)
             assert np.ptp(base) > 0.0
             for mirrored in (f(-s, t), f(s, -t)):
@@ -630,7 +638,7 @@ def test_reduced_integrand_block_call_allocates_little(kind, regime):
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
     block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
     for power, obliquity in ((1, False), (2, False), (2, True)):
-        f = observables._reduced_integrand(cfg, kind, power, obliquity, None)
+        f = _one_term(cfg, kind, power, obliquity, None)
         f(s, t)
         tracemalloc.start()
         try:
@@ -651,7 +659,7 @@ def test_reduced_integrand_results_do_not_alias(kind, regime):
     first_nodes, second_nodes = _block_nodes(rng), _block_nodes(rng)
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
     for power, obliquity in ((1, False), (2, False), (2, True)):
-        f = observables._reduced_integrand(cfg, kind, power, obliquity, None)
+        f = _one_term(cfg, kind, power, obliquity, None)
         first = f(*first_nodes)
         kept = first.copy()
         second = f(*second_nodes)
@@ -678,7 +686,7 @@ def test_kernel_weighted_block_call_allocates_little(kind, table):
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0)
     block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
     even_kernel = observables._even_kernel(_KERNEL_TABLES[table], cfg.k0)
-    f = observables._reduced_integrand(cfg, kind, 1, False, even_kernel)
+    f = _one_term(cfg, kind, 1, False, even_kernel)
     f(s, t)
     tracemalloc.start()
     try:
@@ -707,9 +715,7 @@ def test_group_integrand_terms_equal_the_one_term_integrands(kind, regime):
         parts = observables._reduced_terms(cfg, kind, terms, even_kernel)(s, t)
         assert len(parts) == len(terms)
         for part, (power, obliquity, weighted) in zip(parts, terms):
-            alone = observables._reduced_integrand(
-                cfg, kind, power, obliquity, even_kernel if weighted else None
-            )(s, t)
+            alone = _one_term(cfg, kind, power, obliquity, even_kernel if weighted else None)(s, t)
             assert np.array_equal(part.view(np.int64), alone.view(np.int64)), (power, obliquity)
 
 
@@ -781,7 +787,7 @@ def test_reduced_integrand_matches_the_per_node_formula(kind, regime):
         # would show, rather than a stale one from an earlier call
         observables._WORKSPACE.rows(_BLOCK, 0, 1)
         observables._WORKSPACE.slab.fill(np.nan)
-        got = observables._reduced_integrand(cfg, kind, power, obliquity, kernel)(s, t)
+        got = _one_term(cfg, kind, power, obliquity, kernel)(s, t)
         want = _per_node_integrand(cfg, kind, power, obliquity, kernel, s, t)
         label = (power, obliquity, kernel is not None)
         if regime is Regime.EXACT:
@@ -807,7 +813,7 @@ def test_paraxial_phase_matching_is_evaluated_once_per_row(with_kernel, monkeypa
     even_kernel = observables._even_kernel(_KERNEL_TABLES["square"], cfg.k0) if with_kernel else None
     for power, obliquity in ((1, False), (2, False), (2, True)):
         shapes.clear()
-        f = observables._reduced_integrand(
+        f = _one_term(
             cfg, AmplitudeKind.ENTANGLED, power, obliquity, even_kernel if power == 1 else None
         )
         assert f(s, t).shape == _BLOCK
@@ -833,9 +839,7 @@ def test_even_kernel_keeps_the_coherent_integral(shape):
     # the square's panels as wide as the quadrant's
     square_panels = tuple(2 * n for n in panels)
     for kind, name in ((AmplitudeKind.ENTANGLED, "I1_ent"), (AmplitudeKind.SEPARABLE, "I1_sep")):
-        f_raw = observables._reduced_integrand(
-            cfg, kind, 1, False, lambda kix, ksx: raw.evaluate(kix, ksx, k0)
-        )
+        f_raw = _one_term(cfg, kind, 1, False, lambda kix, ksx: raw.evaluate(kix, ksx, k0))
         whole = integrate_2d(f_raw, square, cfg.quadrature, square_panels)
         quadrant = observables._reduced_integrals(cfg, [name], raw)[name]
         assert quadrant.converged and whole.converged
@@ -845,7 +849,7 @@ def test_even_kernel_keeps_the_coherent_integral(shape):
         def exchange_only(kix, ksx):
             return 0.5 * (raw.evaluate(kix, ksx, k0) + raw.evaluate(ksx, kix, k0))
 
-        f_wrong = observables._reduced_integrand(cfg, kind, 1, False, exchange_only)
+        f_wrong = _one_term(cfg, kind, 1, False, exchange_only)
         wrong = integrate_2d(f_wrong, observables._ANGLE_DOMAIN, cfg.quadrature, panels)
         assert abs(wrong.value / (0.25 * whole.value) - 1.0) > 1e-6
 

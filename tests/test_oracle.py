@@ -414,3 +414,27 @@ def test_one_batch_allocates_a_bounded_number_of_rows(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= (oracle._DRAW_ROWS + 2) * row, peak / row
+
+
+def test_a_failing_integrand_stops_the_run_after_each_threads_first_batch(monkeypatch):
+    # f raises on every call: the error reaches the caller after one call on
+    # one thread, and after at most one call per pool thread by default,
+    # never after a call for each of the 10 batches
+    calls = []
+
+    def f(ki, ks):
+        calls.append(ki[0].size)
+        raise ZeroDivisionError("integrand failed")
+
+    spec = McSpec(samples=MIN_SAMPLES)
+    assert len(oracle._batch_sizes(spec.samples)) == 10
+    monkeypatch.setenv("QIONIZE_THREADS", "1")
+    with pytest.raises(ZeroDivisionError, match="integrand failed"):
+        mc_integral(f, CFG_6D, spec)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.delenv("QIONIZE_THREADS")
+    threads = min(oracle._worker_count(None), 10)
+    with pytest.raises(ZeroDivisionError, match="integrand failed"):
+        mc_integral(f, CFG_6D, spec)
+    assert 1 <= len(calls) <= threads, (len(calls), threads)

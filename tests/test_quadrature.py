@@ -389,14 +389,14 @@ def test_grid_share_gives_each_component_its_own_result():
     )
     box = ((0.0, 3.0), (-1.0, 2.0))
     share = quadrature.GridShare(lambda x, y: tuple(g(x, y) for g in components))
-    shared = [integrate_2d(share.component(i, g), box, TIGHT) for i, g in enumerate(components)]
+    shared = [integrate_2d(share.component(i), box, TIGHT) for i in range(len(components))]
     alone = [integrate_2d(g, box, TIGHT) for g in components]
     assert shared == alone
     assert len({r.evals for r in alone}) > 1
     assert 0 < share.nodes < sum(r.evals for r in alone)
-    # a wrapper hides the mark: the component then runs on its own grids,
-    # and the share counts the nodes it is called on
+    # a wrapper hides the mark: the component then evaluates the whole
+    # vector integrand on its own grids, and the share counts those nodes
     hidden = quadrature.GridShare(lambda x, y: tuple(g(x, y) for g in components))
-    marked = hidden.component(0, components[0])
+    marked = hidden.component(0)
     assert integrate_2d(lambda x, y: marked(x, y), box, TIGHT) == alone[0]
     assert hidden.nodes == alone[0].evals

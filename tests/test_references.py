@@ -2,7 +2,8 @@
 
 Each reference evaluates the same 1D form as the package, at 20 digits and
 on subintervals between the zeros of the phase-matching sinc, so it is
-independent of the package's panels, doubling and rounding.
+independent of the package's panels, doubling and rounding. The 1D forms of
+the separable integrals also check the exact regime's 2D quadratures of them.
 """
 
 import pytest
@@ -14,6 +15,10 @@ from qionize.units import ExperimentConfig, Regime  # noqa: E402
 
 # (L, w) in um: a short, a middle and a long crystal of the benchmark panel
 ORACLE_POINTS_UM = ((0.01, 1.0), (1.0, 50.0), (100.0, 100.0))
+# the whole benchmark panel and a tight-waist point
+EXACT_POINTS_UM = (
+    (0.01, 1.0), (1.0, 10.0), (1.0, 50.0), (50.0, 3.0), (100.0, 100.0), (100.0, 0.5),
+)
 DIGITS = 20
 
 
@@ -116,4 +121,27 @@ def test_exact_obliquity_weighted_separable_matches_its_1d_form(length, waist):
         scale = float(abs(truth))
     assert res.method == "tensor_gauss" and res.converged
     assert error <= cfg.quadrature.rel_tol * scale, (error / scale, res.error_estimate / scale)
+    assert error <= res.error_estimate, (error, res.error_estimate)
+
+
+@pytest.mark.parametrize("length, waist", EXACT_POINTS_UM)
+def test_exact_separable_quadratures_match_mpmath(length, waist):
+    # the exact regime integrates all three separable integrals in 2D; their
+    # 1D forms do not depend on L, and I1_sep's and I2_sep's on the regime
+    cfg = ExperimentConfig(crystal_length_um=length, pump_waist_um=waist)
+    results = observables._reduced_integrals(cfg, ("I1_sep", "I2_sep", "I2w_sep"))
+    references = {
+        "I1_sep": lambda: _separable_reference(cfg, 1),
+        "I2_sep": lambda: _separable_reference(cfg, 2),
+        "I2w_sep": lambda: _exact_i2w_sep_reference(cfg),
+    }
+    for name, reference in references.items():
+        res = results[name]
+        with mp.workdps(DIGITS):
+            truth = reference()
+            error = float(abs(mp.mpf(res.value) - truth))
+            scale = float(abs(truth))
+        assert res.method == "tensor_gauss" and res.converged, name
+        assert error <= cfg.quadrature.rel_tol * scale, (name, error / scale)
+        assert error <= res.error_estimate, (name, error, res.error_estimate)
 

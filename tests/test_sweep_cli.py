@@ -447,8 +447,10 @@ def test_cli_ratio_quadrupole_kernel(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "kernel = model_kernel:" in out
-    # the same channel without a kernel table is a usage error
+    # the same channel without a kernel table is a usage error naming the flag
     assert main(["ratio", "--channel", "quadrupole"]) == 1
+    err = capsys.readouterr().err
+    assert err == "qionize: error: --channel quadrupole needs a kernel table: pass --kernel FILE\n"
 
 
 def test_cli_flux_paraxial(capsys):
