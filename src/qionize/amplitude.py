@@ -117,22 +117,15 @@ def _paraxial_mismatch(v, k0: float):
     return np.square(v) / (4.0 * k0)
 
 
-def _kz_sum(kix, ksx, k0: float, out, tmp):
-    """kiz + ksz with the roots clamped at the kinematic edge, into out."""
-    k0_sq = k0**2
-    for kx, kz in ((kix, out), (ksx, tmp)):
-        np.subtract(k0_sq, np.square(kx, out=kz), out=kz)
-        np.sqrt(np.maximum(kz, 0.0, out=kz), out=kz)
-    return np.add(out, tmp, out=out)
-
-
 def _exact_mismatch(u, kix, ksx, k0: float, out, tmp):
     """sqrt(4 k0^2 - u^2) - (kiz + ksz) at pump sum u, roots clamped, into out.
 
-    tmp is left holding kiz + ksz. Grouping the per-photon roots keeps
-    exchange symmetry bit for bit.
+    Grouping the per-photon roots keeps exchange symmetry bit for bit.
     """
-    kz_sum = _kz_sum(kix, ksx, k0, tmp, out)
+    for kx, kz in ((kix, tmp), (ksx, out)):
+        np.subtract(k0**2, np.square(kx, out=kz), out=kz)
+        np.sqrt(np.maximum(kz, 0.0, out=kz), out=kz)
+    kz_sum = np.add(tmp, out, out=tmp)
     np.subtract(4.0 * k0**2, np.square(u, out=out), out=out)
     np.sqrt(np.maximum(out, 0.0, out=out), out=out)
     return np.subtract(out, kz_sum, out=out)
@@ -292,42 +285,31 @@ def eval_reduced(point, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike
     if np.any(np.abs(kix_arr) >= k0) or np.any(np.abs(ksx_arr) >= k0):
         raise DomainError("eval_reduced requires |kx| < k0 for each photon (open square)")
 
-    # the paraxial mismatch reads the difference only, the exact one each photon
-    v = kix_arr - ksx_arr if cfg.regime is Regime.PARAXIAL else None
-    work = [np.empty(np.broadcast_shapes(kix_arr.shape, ksx_arr.shape)) for _ in range(4)]
+    u = kix_arr + ksx_arr
+    value = np.empty(u.shape)
     with np.errstate(over="ignore"):
-        value = _reduced_amplitude(kix_arr + ksx_arr, v, (kix_arr, ksx_arr), cfg, kind, work)
+        mismatch = None if kind is AmplitudeKind.SEPARABLE else (
+            _paraxial_mismatch(kix_arr - ksx_arr, k0) if cfg.regime is Regime.PARAXIAL
+            else _exact_mismatch(u, kix_arr, ksx_arr, k0, np.empty(u.shape), value))
+        value = _reduced_amplitude(u, mismatch, cfg, kind, (value, value))
     return _maybe_scalar(value, kix, ksx)
 
 
-def _reduced_amplitude(u, v, kx, cfg: ExperimentConfig, kind: AmplitudeKind, work):
-    """Unchecked reduced amplitude at pump sum u and difference v = kix - ksx.
+def _reduced_amplitude(u, mismatch, cfg: ExperimentConfig, kind: AmplitudeKind, work):
+    """Unchecked reduced amplitude at pump sum u and phase mismatch delta_kz.
 
-    Callers that parametrize the plane by (u, v) pass them directly rather
-    than the rounded sum and difference of kix and ksx. Each factor is
-    computed on the shape of what it reads: the pump envelope on u's, the
-    paraxial phase matching on v's (a column when v is one), broadcast into
-    the value. v is read only by a paraxial entangled call and kx, the
-    (kix, ksx) pair, only by an exact entangled one; either may be None
-    where it is not read. The exact mismatch clamps its roots at the
-    kinematic edge, where the amplitude's sinc argument stays finite.
-
-    work (required) is four float arrays of the broadcast shape of the
-    inputs, none of them an input: the value is written into work[0] and
-    returned, the rest is scratch, and an exact entangled call leaves
-    kiz + ksz in work[1].
+    Each factor is computed on the shape of what it reads: the pump
+    envelope on u's, sinc(L mismatch / 2) on mismatch's (a column when it is
+    one; None for the separable kind, which does not read it). work
+    (required) is two float arrays, neither an input, one array where the
+    shapes agree: work[0] of u's shape receives the envelope, the separable
+    value, and work[1] of the broadcast shape the entangled value. The
+    value is returned.
     """
-    value, a, b, c = work
+    pump, value = work
     # exp(-0.5 * (omega_p u)^2), one in-place step at a time
-    np.square(np.multiply(u, cfg.pump_waist_um, out=value), out=value)
-    np.exp(np.multiply(value, -0.5, out=value), out=value)
-    if kind is AmplitudeKind.ENTANGLED:
-        half_length = 0.5 * cfg.crystal_length_um
-        if cfg.regime is Regime.PARAXIAL:
-            np.multiply(value, sinc(_paraxial_mismatch(v, cfg.k0) * half_length), out=value)
-        else:
-            kix, ksx = kx
-            mismatch = _exact_mismatch(u, kix, ksx, cfg.k0, b, a)
-            np.multiply(mismatch, half_length, out=mismatch)
-            np.multiply(value, sinc(mismatch, out=c), out=value)
-    return value
+    np.square(np.multiply(u, cfg.pump_waist_um, out=pump), out=pump)
+    np.exp(np.multiply(pump, -0.5, out=pump), out=pump)
+    if kind is AmplitudeKind.SEPARABLE:
+        return pump
+    return np.multiply(pump, sinc(mismatch * (0.5 * cfg.crystal_length_um)), out=value)

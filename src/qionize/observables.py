@@ -22,7 +22,6 @@ import numpy as np
 
 from .amplitude import (
     AmplitudeKind,
-    _kz_sum,
     _paraxial_mismatch,
     _reduced_amplitude,
     check_narrowband_guard,
@@ -82,12 +81,12 @@ class _Workspace(threading.local):
 
 
 # (first row, row count) of each user of the workspace: the integrand's
-# u, jac_u, kix, ksx and _reduced_amplitude's four arrays (the last then
-# holds each term's factors), and the averaged kernel's two results and six
-# interpolation scratch rows
-_INTEGRAND_ROWS = (0, 8)
-_EVEN_KERNEL_ROWS = (8, 8)
-_WORKSPACE_ROWS = 16
+# four rows of u's shape and ten of the block's, and the averaged kernel's
+# two results and six interpolation scratch rows
+_COLUMN_ROWS = (0, 4)
+_BLOCK_ROWS = (4, 10)
+_EVEN_KERNEL_ROWS = (14, 8)
+_WORKSPACE_ROWS = 22
 _WORKSPACE = _Workspace()
 
 
@@ -356,13 +355,13 @@ def _umax(cfg: ExperimentConfig) -> float:
 def _even_kernel(kernel: TabulatedKernel, k0: float) -> Callable:
     """K averaged over the reduced integrand's two reflections, at (kix, ksx).
 
-    Photon exchange (s -> -s) maps K(kix, ksx) to K(ksx, kix), the table's
-    transpose; (kix, ksx) -> (-ksx, -kix) (t -> -t) maps it to the transpose
-    of v[::-1, ::-1]. The reduced amplitude is invariant under both, so the
-    average leaves the integral of F K over the square unchanged and makes
-    the integrand even in s and in t. On a square table the average is one
-    table: bilinear interpolation on the uniform grid through +-1 commutes
-    with transposing and reversing it. The returned callable writes into
+    Photon exchange (sigma -> -sigma) maps K(kix, ksx) to K(ksx, kix), the
+    table's transpose; (kix, ksx) -> (-ksx, -kix) (tau -> -tau) maps it to
+    the transpose of v[::-1, ::-1]. The reduced amplitude is invariant under
+    both, so the average leaves the integral of F K over the plane unchanged
+    and makes the integrand even in sigma and in tau. On a square table the
+    average is one table: bilinear interpolation on the uniform grid through
+    +-1 commutes with transposing and reversing it. The returned callable writes into
     workspace rows, valid until its next call.
     """
     v = kernel.values + kernel.values[::-1, ::-1]
@@ -382,112 +381,119 @@ def _even_kernel(kernel: TabulatedKernel, k0: float) -> Callable:
     return even
 
 
+def _phase_edges(cfg: ExperimentConfig) -> Tuple[float, ...]:
+    """The sigma pieces: 0, sigma_band (the chord h's kink, unless it rounds away), sigma_top."""
+    k0, umax = cfg.k0, _umax(cfg)
+    if cfg.regime is Regime.PARAXIAL:
+        top, band = math.sqrt(k0), (2.0 * k0 - umax) / (2.0 * math.sqrt(k0))
+    else:
+        # sigma_max(u)^2 = sqrt(4 k0^2 - u^2) - sqrt(u (2 k0 - u)), factored
+        top = math.sqrt(2.0 * k0)
+        band = math.sqrt(
+            math.sqrt(2.0 * k0 - umax) * (math.sqrt(2.0 * k0 + umax) - math.sqrt(umax)))
+    return (0.0, band, top) if band < top else (0.0, top)
+
+
 def _reduced_terms(
     cfg: ExperimentConfig,
     kind: AmplitudeKind,
     terms: Sequence[Tuple[int, bool, bool]],
     even_kernel: Optional[Callable],
 ) -> Callable:
-    """Integrand over angle coordinates (s, t) covering the open rhombus, one array per term.
+    """Integrand over phase-matching coordinates (sigma, tau), one array per term.
 
     Each term (power p, obliquity, weighted) is F^p, times the obliquity w
     if set, times even_kernel if weighted, times the Jacobian: the
-    integrands of the INTEGRALS of one kind. The amplitude, the Jacobian,
-    w and the kernel are computed once per call for all the terms, and each
-    term is formed in the order of the one-term case.
+    integrands of the INTEGRALS of one kind, each formed in the order of
+    the one-term case from one amplitude, Jacobian, w and kernel per call.
 
-    In rotated coordinates u = kix + ksx, v = kix - ksx the domain is the
-    rhombus |u| + |v| < 2 k0 intersected with the pump truncation |u| <= umax.
-    The difference coordinate v = 2 k0 sin(s) is independent of u, so the
-    phase-matching oscillation lives on the s axis alone; the pump coordinate
-    u = min(umax, 2 k0 - |v|) sin(t) spans whatever width the rhombus leaves.
-    Both cos Jacobians vanish exactly where the edge square roots of the
-    exact dispersion become singular, keeping the integrand bounded.
-    d kix d ksx = (1/2) du dv.
-
-    s -> -s exchanges the photons (kix <-> ksx) and t -> -t maps (kix, ksx)
-    to (-ksx, -kix). The amplitude, its square and the obliquity are
-    invariant under both, so the integrand is even in s and in t as long as
-    even_kernel is (see _even_kernel). The integrals therefore run over the
-    quadrant _ANGLE_DOMAIN, and the Jacobian carries the factor 4 of the
-    four quadrants: 4 * (1/2) jac_v jac_u = 2 jac_v jac_u.
+    sigma = sign(v) sqrt(delta_kz) and u = h(sigma) tau, with u = kix + ksx,
+    v = kix - ksx and the chord h = min(umax, rhombus edge), is the map of
+    README Conventions: the sinc reads sinc(L sigma^2 / 2), and exactly
+    T = S - sigma^2 = kiz + ksz (w = T / k0). The integrand is even in sigma
+    and tau as long as even_kernel is (see _even_kernel), so the integrals
+    run over sigma, tau >= 0 with the Jacobian 4 (1/2) h dv/dsigma.
 
     A call works in place in the module workspace and returns a tuple of
-    fresh arrays, one per term: integrate_2d's row blocks then cost one
-    allocation per term, not a few dozen. Each factor is computed where it
-    varies: the paraxial phase matching once per row, kix and ksx only when
-    the exact mismatch, the exact obliquity or a kernel reads them.
+    fresh arrays, one per term. Each factor is computed where it varies:
+    sigma^2 and the sinc once per row, and where h = umax in every row (the
+    interior piece) u, S and the pump envelope once per column.
     """
     k0 = cfg.k0
-    two_k0 = 2.0 * k0
     paraxial = cfg.regime is Regime.PARAXIAL
-    entangled = kind is AmplitudeKind.ENTANGLED
     oblique = any(obliquity for _, obliquity, _ in terms)
     weighted = any(weight for _, _, weight in terms)
-    reads_kx = weighted or (not paraxial and (entangled or oblique))
-    umax = _umax(cfg)
+    umax, root_k0, two_k0, four_k0_sq = _umax(cfg), math.sqrt(k0), 2.0 * k0, 4.0 * k0 * k0
 
-    def f(s, t):
-        shape = np.broadcast_shapes(np.shape(s), np.shape(t))
-        u, jac, kix, ksx, *work = _WORKSPACE.rows(shape, *_INTEGRAND_ROWS)
-        v = two_k0 * np.sin(s)
-        jac_v = two_k0 * np.cos(s)
-        half_u = np.minimum(umax, two_k0 - np.abs(v))
-        np.multiply(half_u, np.sin(t), out=u)
-        np.multiply(half_u, np.cos(t), out=jac)
-        if reads_kx:
+    def f(sigma, tau):
+        shape = np.broadcast_shapes(np.shape(sigma), np.shape(tau))
+        square = np.square(sigma)
+        if paraxial:
+            v = (2.0 * root_k0) * sigma
+            h = np.minimum(umax, two_k0 - np.abs(v))
+        else:
+            fourth = np.square(square)
+            edge = np.square((two_k0 - square) * (two_k0 + square)) / (
+                2.0 * (k0 * (four_k0_sq + fourth) + fourth * np.sqrt(2.0 * four_k0_sq - fourth)))
+            h = np.minimum(umax, edge)
+        # one row of u where every row's chord is umax
+        h_u = h[:1] if (h == umax).all() else h
+        u, u_sq, s, pump = _WORKSPACE.rows(np.broadcast_shapes(np.shape(h_u), np.shape(tau)),
+                                           *_COLUMN_ROWS)
+        t, r, q, a, b, jac, value, term, kix, ksx = _WORKSPACE.rows(shape, *_BLOCK_ROWS)
+        np.multiply(h_u, tau, out=u)
+        value = _reduced_amplitude(u, square, cfg, kind, (pump, value))
+        w = CONVENTIONS["obliquity_paraxial"]
+        if paraxial:
+            np.multiply(h, 4.0 * root_k0, out=jac)
+        else:
+            # S, T, r and q^2, then 2 h dv/dsigma
+            np.sqrt(np.subtract(four_k0_sq, np.square(u, out=u_sq), out=s), out=s)
+            np.sqrt(np.add(np.subtract(s, square, out=t), s, out=r), out=r)
+            np.add(np.square(t, out=a), u_sq, out=q)
+            np.divide(a, r, out=a)
+            np.multiply(np.multiply(r, square, out=b), u_sq, out=b)
+            np.subtract(a, np.divide(b, q, out=b), out=a)
+            np.divide(np.multiply(a, 4.0 * h, out=jac), np.sqrt(q, out=q), out=jac)
+            if weighted:
+                v = np.divide(np.multiply(np.multiply(t, sigma, out=b), r, out=b), q, out=b)
+            if oblique:
+                w = np.divide(t, k0, out=t)
+        if weighted:
             np.multiply(np.add(u, v, out=kix), 0.5, out=kix)
             np.multiply(np.subtract(u, v, out=ksx), 0.5, out=ksx)
-        value = _reduced_amplitude(u, v, (kix, ksx) if reads_kx else None, cfg, kind, work)
-        w = CONVENTIONS["obliquity_paraxial"]
-        if oblique and not paraxial:
-            # an exact entangled amplitude has left kiz + ksz in work[1]
-            kz_sum = work[1] if entangled else _kz_sum(kix, ksx, k0, work[1], work[2])
-            w = np.divide(kz_sum, k0, out=kz_sum)
         kernel = even_kernel(kix, ksx) if weighted else None
-        np.multiply(2.0 * jac_v, jac, out=jac)
-        # each term's factors before the Jacobian build up in the free work[3]
         parts = []
         for power, obliquity, weight in terms:
-            term = value
+            part = value
             if power == 2:
-                term = np.multiply(value, value, out=work[3])
+                part = np.multiply(value, value, out=term)
             if obliquity:
-                term = np.multiply(term, w, out=work[3])
+                part = np.multiply(part, w, out=term)
             if weight:
-                term = np.multiply(term, kernel, out=work[3])
+                part = np.multiply(part, kernel, out=term)
             # the one fresh array of the term, which a caller may keep
-            parts.append(term * jac)
+            parts.append(part * jac)
         return tuple(parts)
 
     return f
 
 
-_HALF_PI = 0.5 * math.pi
-# the quadrant s, t >= 0 of the square |s|, |t| < pi/2, whose integrand is
-# even in s and t: _reduced_terms counts each node four times
-_ANGLE_DOMAIN = ((0.0, _HALF_PI), (0.0, _HALF_PI))
-
-
-def _initial_panels(cfg: ExperimentConfig, reads_length: bool = True) -> Tuple[float, float]:
-    # the phase-matching argument reaches L*k0/2 along s; along t it only
-    # varies through the exact dispersion's curvature in u, roughly
-    # L*umax^2/(4 k0). Start with a few oscillations per 16-point panel of
-    # the square |s|, |t| < pi/2, half as many panels on the quadrant
-    # _ANGLE_DOMAIN (rounded up), and let per-axis refinement and freezing
-    # take it from there. Whole Python floats, inf past overflow:
-    # integrate_2d prices them against max_evals. An integrand that never
-    # reads L starts where L -> 0+ would, each positive cycle count rounding
-    # up to 1.
-    k0, length, umax = float(cfg.k0), float(cfg.crystal_length_um), float(_umax(cfg))
-    if reads_length:
-        cycles_s = float(np.ceil(length * k0 / 5.0))
-        cycles_t = float(np.ceil(length * umax * umax / (4.0 * k0) / 12.0))
-    else:
-        cycles_s = cycles_t = 1.0
-    n_s = max(8.0, 4.0 + cycles_s)
-    n_t = 2.0 if cfg.regime is Regime.PARAXIAL else 2.0 + cycles_t
-    return (float(np.ceil(0.5 * n_s)), float(np.ceil(0.5 * n_t)))
+def _start_panels(cfg: ExperimentConfig, edges: Sequence[float], kind: AmplitudeKind,
+                  kernel: Optional[TabulatedKernel]) -> Tuple[float, ...]:
+    # one start per sigma piece [a, b], then tau's 2. The phase L sigma^2 / 2
+    # turns at the rate L b at the top b: an entangled piece starts at about
+    # 40 radians per panel, a separable one at 2. v crosses (n - 1) / 2 cells
+    # of a kernel table, each a kink, over sigma's whole range: a kernel
+    # ratio starts at one panel per cell or more. Whole Python floats, inf
+    # past overflow, priced by integrate_2d against max_evals.
+    length, pieces = float(cfg.crystal_length_um), list(zip(edges[:-1], edges[1:]))
+    counts = [2.0 + float(np.ceil(length * b * (b - a) / 40.0))
+              if kind is AmplitudeKind.ENTANGLED else 2.0 for a, b in pieces]
+    if kernel is not None:
+        cells = 0.5 * (max(kernel.values.shape) - 1) / edges[-1]
+        counts = [max(n, float(np.ceil(cells * (b - a)))) for n, (a, b) in zip(counts, pieces)]
+    return (*counts, 2.0)
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -565,13 +571,18 @@ def _paraxial_entangled(cfg: ExperimentConfig, power: int) -> IntegralResult:
         2.0 + float(np.ceil(power * length * b * (b - a) / (4.0 * k0) / 10.0))
         for a, b in zip(edges[:-1], edges[1:])
     ]
-    result = integrate_1d(f, edges, cfg.quadrature, panels)
-    # the doubling delta can reach 0 while rounding still counts: each
-    # node's sinc is off by about eps whatever its phase, as the phase is
-    # rounded relative to itself, so the sum is off by about eps times the
-    # integral of g_p, the separable integral. mpmath references measure
-    # at most one such unit; eight of them are added.
-    err = result.error_estimate + 8.0 * _EPS * _separable_closed_form(cfg, power).value
+    return _with_rounding(cfg, integrate_1d(f, edges, cfg.quadrature, panels), power)
+
+
+def _with_rounding(cfg: ExperimentConfig, result: IntegralResult, power: int, bound=1.0):
+    """result with eight rounding units added to its estimate, converged re-judged.
+
+    The doubling delta can reach 0 while rounding still counts: each node is
+    off by about eps of |F_sep|^p times bound, the bound of its other factors,
+    whatever the sinc's phase, so the sum by about eps times the separable
+    integral times bound; mpmath references measure at most one such unit.
+    """
+    err = result.error_estimate + 8.0 * _EPS * (_separable_closed_form(cfg, power).value * bound)
     converged = result.converged and err <= cfg.quadrature.tolerance(result.value)
     return replace(result, error_estimate=err, converged=converged)
 
@@ -597,15 +608,13 @@ def _reduced_integrals(
     - paraxial, unweighted: I1_sep and I2_sep in closed form, I1_ent and
       I2_ent by integrate_1d over v, I2w the paraxial obliquity times I2;
     - otherwise one call of the module-global integrate_2d, looked up at
-      call time; the exact regime makes its six calls in INTEGRALS order.
-      The 2D integrals of one kind are the terms of one _reduced_terms
-      integrand, their only integrand: each is a component of the kind's
-      GridShare, so each grid that any of them refines is evaluated once,
-      while each keeps its own schedule, evals and result. Without a kernel
-      the separable integrands never read L and start from L -> 0+ panels. A kernel ratio's
-      separable triple keeps the L-dependent start: from L -> 0+ the
-      quadrupole's R at (50, 3) um lands 3.9e-7 from its rel_tol 1e-10
-      reference instead of 3.2e-8.
+      call time, over sigma on the pieces of _phase_edges and tau in [0, 1]
+      from the panels of _start_panels, with _with_rounding's units added;
+      the exact regime makes its six calls in INTEGRALS order. The 2D
+      integrals of one kind are the terms of one _reduced_terms integrand:
+      each is a component of the kind's GridShare, so each grid that any of
+      them refines is evaluated once, while each keeps its own schedule,
+      evals and result.
     grid_nodes, if given, receives for each kind's value the integrand
     nodes actually evaluated, over all its routes.
     """
@@ -622,22 +631,27 @@ def _reduced_integrals(
             planar[kind][name] = (power, obliquity, weighted)
     shares = {kind: GridShare(_reduced_terms(cfg, kind, tuple(terms.values()), even_kernel))
               for kind, terms in planar.items()}
+    edges = _phase_edges(cfg)
     computed: Dict[str, IntegralResult] = {}
     for name in names:
         kind, power, _ = INTEGRALS[name]
-        separable = kind is AmplitudeKind.SEPARABLE
         terms = planar[kind]
         if name not in terms:
             # I2w is the constant paraxial obliquity times I2: each norm runs once
             norm = name.replace("I2w", "I2")
             if norm not in computed:
+                separable = kind is AmplitudeKind.SEPARABLE
                 route = _separable_closed_form if separable else _paraxial_entangled
                 computed[norm] = route(cfg, power)
             computed[name] = computed[norm] if norm == name else _paraxial_i2w(computed[norm])
         else:
             f = shares[kind].component(list(terms).index(name))
-            panels = _initial_panels(cfg, reads_length=kernel is not None or not separable)
-            computed[name] = integrate_2d(f, _ANGLE_DOMAIN, cfg.quadrature, panels)
+            result = integrate_2d(f, (edges, (0.0, 1.0)), cfg.quadrature,
+                                  _start_panels(cfg, edges, kind, kernel))
+            # the obliquity is at most 2, the averaged kernel at most the table's largest |K|
+            _, obliquity, weighted = terms[name]
+            bound = (1.0 + obliquity) * (float(np.abs(kernel.values).max()) if weighted else 1.0)
+            computed[name] = _with_rounding(cfg, result, power, bound)
     if grid_nodes is not None:
         for kind, share in shares.items():
             # the nodes of the shared grids and of the 1D routes

@@ -2,12 +2,12 @@
 
 One rule: panelized 16-point Gauss-Legendre, refined by one loop over a
 list of axes, each axis a run of pieces with one panel count per piece.
-integrate_2d is the product rule on two one-piece axes: each round
-trial-doubles the panels of every axis not yet frozen and keeps the
-doubling with the larger delta. integrate_1d is the same loop on one axis
-of several pieces, where every round doubles every piece. The caller hints
-a starting panel count per piece. converged means the error estimate met
-QuadratureSpec.tolerance(value).
+integrate_2d is the product rule on two axes, the first of one or more
+pieces: each round trial-doubles every piece of every axis not yet frozen
+and keeps the doubling with the larger delta. integrate_1d is the same
+loop on one axis of several pieces, where every round doubles every piece.
+The caller hints a starting panel count per piece. converged means the
+error estimate met QuadratureSpec.tolerance(value).
 
 The rule is open (no endpoint evaluations) and fully deterministic, and
 max_evals is the one bound on its work: it never starts a refinement round
@@ -257,30 +257,34 @@ def integrate_2d(
     f: Callable,
     domain,
     spec: Optional[QuadratureSpec] = None,
-    initial_panels: Tuple[int, int] = (2, 2),
+    initial_panels: Optional[Sequence[float]] = None,
 ) -> IntegralResult:
-    """Integrate f over the rectangle domain = ((x0, x1), (y0, y1)).
+    """Integrate f over the rectangle domain = ((x0, ..., x1), (y0, y1)).
 
-    f must be vectorized and pointwise: it is called on row blocks of the
-    node grid, with a column x_blk[:, None] of consecutive x nodes and the
-    row y[None, :] of all y nodes, and must return the
+    Interior edges of the first axis split it into pieces, as integrate_1d's
+    edges do. f must be vectorized and pointwise: it is called on row blocks
+    of the node grid, with a column x_blk[:, None] of consecutive x nodes
+    and the row y[None, :] of all y nodes, and must return the
     (len(x_blk), len(y)) array of values, each depending only on its own
     node. f may reuse internal buffers from call to call, but each call
     must return a fresh array, since a caller may keep an earlier call's
     result. initial_panels is a performance hint (starting panel count per
-    axis, whole or inf); it never changes what converged means, only how
-    fast the rule gets there. Identical inputs produce bit-identical results.
+    piece of the first axis, then the second; whole or inf, 2 by default);
+    it never changes what converged means, only how fast the rule gets
+    there. Identical inputs produce bit-identical results.
 
     An f marked by GridShare.component takes its grid sums from the share,
     which may have evaluated them already for another component; evals still
     count every node of this integral's rule.
     """
     try:
-        (x0, x1), (y0, y1) = domain
+        first, (y0, y1) = domain
     except (TypeError, ValueError):
-        raise DomainError(f"domain must be ((x0, x1), (y0, y1)), got {domain!r}") from None
-    axes = [_check_edges((x0, x1)), _check_edges((y0, y1))]
-    return _refine(f, axes, spec, initial_panels)
+        raise DomainError(f"domain must be ((x0, ..., x1), (y0, y1)), got {domain!r}") from None
+    axes = [_check_edges(first), _check_edges((y0, y1))]
+    # by default 2 per piece: len(edges) - 1 on the first axis, 1 on the second
+    hints = (2,) * len(axes[0]) if initial_panels is None else initial_panels
+    return _refine(f, axes, spec, hints)
 
 
 def integrate_1d(

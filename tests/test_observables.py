@@ -1,5 +1,6 @@
 """Normalization, flux, collection factors, enhancement ratio, kernels."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -31,7 +32,7 @@ from qionize.observables import (
     ratio_from_integrals,
     save_kernel,
 )
-from qionize.quadrature import ConvergenceError, IntegralResult, integrate_2d
+from qionize.quadrature import ConvergenceError, GridShare, IntegralResult, integrate_2d
 from qionize.units import (
     C_UM_PER_S,
     DomainError,
@@ -39,6 +40,8 @@ from qionize.units import (
     QuadratureSpec,
     Regime,
 )
+
+from angle_integrand import SQUARE, angle_terms, square_panels
 
 K0_DIPOLE = 19.020678267107723
 INTEGRAL_NAMES = ("I1_ent", "I2_ent", "I2w_ent", "I1_sep", "I2_sep", "I2w_sep")
@@ -49,7 +52,12 @@ def _one_term(cfg, kind, power, obliquity, even_kernel):
     terms = observables._reduced_terms(
         cfg, kind, ((power, obliquity, even_kernel is not None),), even_kernel
     )
-    return lambda s, t: terms(s, t)[0]
+    return lambda sigma, tau: terms(sigma, tau)[0]
+
+
+def _half_domain(cfg):
+    """The sigma pieces and tau's range, as _reduced_integrals integrates them."""
+    return observables._phase_edges(cfg), (0.0, 1.0)
 
 
 # ---------------------------------------------------------------- symbolic algebra
@@ -84,7 +92,7 @@ def test_normalization_narrowband_closed_form():
     got = normalization(AmplitudeKind.SEPARABLE, cfg)
     analytic = 1.0 / math.sqrt(2.0 * cfg.k0 * math.sqrt(math.pi) / 50.0 - 1.0 / 50.0**2)
     assert got.value == pytest.approx(analytic, rel=1e-6)
-    assert got.value == pytest.approx(0.8612593700347234, rel=1e-12)  # regression pin
+    assert got.value == pytest.approx(0.8612593623147026, rel=1e-12)  # regression pin
     assert got.factor == FilterFactor(g2=-1)
 
 
@@ -94,7 +102,7 @@ def test_f_factor_narrowband_leading_order():
     got = f_factor(AmplitudeKind.SEPARABLE, cfg)
     lead = 8.0 * cfg.k0 / (math.sqrt(math.pi) * 50.0)
     assert got.value == pytest.approx(lead, rel=2e-3)
-    assert got.value == pytest.approx(1.7155807075038392, rel=1e-12)  # regression pin
+    assert got.value == pytest.approx(1.7155807154530291, rel=1e-12)  # regression pin
     assert got.factor == FilterFactor(g1=4, g2=-2)
 
 
@@ -127,7 +135,7 @@ def test_flux_collinear_limit_exact_regime():
     # axis, the obliquity sum approaches 2, and flux * C0 -> 2 c within 1e-3.
     # Measured: tightening the pump only pins kix + ksx; the anticorrelated
     # difference coordinate still spans the full transverse window, the mean
-    # obliquity stays pi/2, and the ratio settles at pi/4 = 0.7853998 here.
+    # obliquity stays pi/2, and the ratio settles at pi/4 = 0.7853993 here.
     cfg = ExperimentConfig(pump_waist_um=1.0e4)
     flux = photon_flux(AmplitudeKind.SEPARABLE, cfg)
     c0 = normalization(AmplitudeKind.SEPARABLE, cfg)
@@ -181,7 +189,7 @@ def test_ratio_determinism():
 
 
 def test_long_crystal_integrands_see_only_cache_sized_blocks(monkeypatch):
-    # the tensor rule evaluates row blocks, never the whole L = 100 um grid
+    # the tensor rule evaluates row blocks, never the whole L = 200 um grid
     calls = []
 
     def recording_integrate_2d(f, domain, spec=None, initial_panels=(2, 2)):
@@ -193,7 +201,7 @@ def test_long_crystal_integrands_see_only_cache_sized_blocks(monkeypatch):
         return integrate_2d(recorded, domain, spec, initial_panels)
 
     monkeypatch.setattr(observables, "integrate_2d", recording_integrate_2d)
-    cfg = ExperimentConfig(pump_waist_um=100.0, crystal_length_um=100.0)
+    cfg = ExperimentConfig(pump_waist_um=100.0, crystal_length_um=200.0)
     res = enhancement_ratio(cfg)
     assert res.converged
     evals = sum(
@@ -204,7 +212,9 @@ def test_long_crystal_integrands_see_only_cache_sized_blocks(monkeypatch):
     assert sum(n for n, _ in calls) == evals
     # no block is a whole grid: the smallest grid of an entangled integral,
     # its start, spans more than four blocks
-    start_nodes = 256 * math.prod(observables._initial_panels(cfg))
+    edges = observables._phase_edges(cfg)
+    *sigma, tau = observables._start_panels(cfg, edges, AmplitudeKind.ENTANGLED, None)
+    start_nodes = 256 * sum(sigma) * tau
     assert max(n for n, _ in calls) < start_nodes // 4
     for n, ny in calls:
         assert n <= max(quadrature.BLOCK_NODES, ny)
@@ -257,7 +267,7 @@ def test_obliquity_and_normalization_bounds():
 
 def test_deep_paraxial_corner_regime_agreement():
     # stated: exact and paraxial ratios agree within 5% for a wide pump and a
-    # long crystal. Measured: the relative deviation is 0.2140416995169132 at
+    # long crystal. Measured: the relative deviation is 0.2140417028245848 at
     # w = 50 um, L = 100 um; the obliquity deficit keeps the two apart no
     # matter how paraxial the configuration looks.
     exact = enhancement_ratio(ExperimentConfig(pump_waist_um=50.0, crystal_length_um=100.0))
@@ -275,9 +285,9 @@ def test_strict_raises_on_budget_exhaustion():
     )
     with pytest.raises(ConvergenceError):
         enhancement_ratio(cfg)
-    # the base grid alone is 98,560 nodes: every integral is refused before
-    # it starts, and the non-strict result carries R = nan like a failed
-    # sweep row
+    # the smallest base grid, a separable one, is 2,048 nodes: every integral
+    # is refused before it starts, and the non-strict result carries R = nan
+    # like a failed sweep row
     res = enhancement_ratio(cfg, strict=False)
     assert not res.converged
     assert math.isnan(res.R)
@@ -287,21 +297,22 @@ def test_strict_raises_on_budget_exhaustion():
 
 
 def test_ratio_eval_schedule_pin():
-    # each integral's evals at the pinned (50, 3) um config, on the quadrant
-    # s, t >= 0; a change of panels shows up here. The separable integrands
-    # never read L and start from L -> 0+ panels.
+    # each integral's evals at the pinned (50, 3) um config, on the half
+    # ranges sigma, tau >= 0; a change of panels shows up here. The separable
+    # integrands never read L and start at 2 panels per piece.
     res = enhancement_ratio(ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0))
     names = ("I1_ent", "I2_ent", "I2w_ent", "I1_sep", "I2_sep", "I2w_sep")
     evals = tuple(res.diagnostics[name].evals for name in names)
-    assert evals == (250880, 250880, 250880, 10240, 10240, 10240)
+    assert evals == (117760, 117760, 117760, 10240, 10240, 10240)
 
 
 def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
     # one integrate_2d call per integral, in INTEGRALS order, each result
-    # filed under its name; the benchmark's trace attributes calls this way
+    # filed under its name with its estimate's rounding units added; the
+    # benchmark's trace attributes calls this way
     cfg = ExperimentConfig(pump_waist_um=10.0, crystal_length_um=1.0)
-    s = np.linspace(0.1, 1.5, 5)[:, None]
-    t = np.linspace(0.2, 1.4, 4)[None, :]
+    s = np.linspace(0.1, 6.1, 5)[:, None]
+    t = np.linspace(0.1, 0.9, 4)[None, :]
     calls = []
 
     def recording_integrate_2d(f, domain, spec=None, initial_panels=(2, 2)):
@@ -314,7 +325,10 @@ def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
     assert tuple(INTEGRALS) == INTEGRAL_NAMES
     assert len(calls) == len(INTEGRALS)
     for (values, result), (name, spec) in zip(calls, INTEGRALS.items()):
-        assert res.diagnostics[name] is result, name
+        filed = res.diagnostics[name]
+        assert (filed.value, filed.evals, filed.method) == (result.value, result.evals,
+                                                            result.method), name
+        assert result.error_estimate < filed.error_estimate, name
         expected = _one_term(cfg, *spec, None)(s, t)
         np.testing.assert_array_equal(values, expected, err_msg=name)
 
@@ -377,7 +391,7 @@ def test_grid_nodes_count_the_shared_evaluations():
                     if spec[0].value == kind)
         assert res.diagnostics["grid_nodes"][kind] < evals, kind
     pinned = enhancement_ratio(ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0))
-    assert pinned.diagnostics["grid_nodes"] == {"entangled": 250880, "separable": 10240}
+    assert pinned.diagnostics["grid_nodes"] == {"entangled": 117760, "separable": 10240}
 
 
 def test_shared_grids_see_only_cache_sized_blocks(monkeypatch):
@@ -440,7 +454,7 @@ def test_ratio_refuses_subnormal_coherent_squares():
     # subnormal and f = I1^2 / I2w loses precision, so R is refused there;
     # below that R keeps its bits
     cfg = ExperimentConfig(crystal_length_um=1.0, pump_waist_um=1e150)
-    assert enhancement_ratio(cfg).R.hex() == "0x1.21f9b44203028p-1"
+    assert enhancement_ratio(cfg).R.hex() == "0x1.21f9b44203022p-1"
     for waist in (1e156, 1e163, 4e163):
         with pytest.raises(DomainError, match="pump_waist_um"):
             enhancement_ratio(cfg.replace(pump_waist_um=waist))
@@ -452,7 +466,7 @@ def test_ratio_refuses_subnormal_coherent_squares():
 
 
 # the benchmark panel, then points where an earlier rule, which evaluated the
-# quadrant's nodes at four times the weight on the panels of the square,
+# angle map's quadrant at four times the weight on the panels of the square,
 # understated an error (31.6 is the fig2a waist 10^1.5)
 COVERAGE_POINTS_UM = (
     (0.01, 1.0), (1.0, 10.0), (1.0, 50.0), (50.0, 3.0), (100.0, 100.0),
@@ -463,22 +477,56 @@ COVERAGE_POINTS_UM = (
 
 @pytest.mark.parametrize("length, waist", COVERAGE_POINTS_UM)
 def test_exact_error_estimates_cover_the_true_error(length, waist):
-    # each exact dipole integral against the same one-term integrand over the
-    # whole square |s|, |t| < pi/2 at rel_tol 1e-12, a quarter of it: the
-    # reference assumes no evenness, and its panels are as wide as the
-    # quadrant's
+    # each exact dipole integral in (sigma, tau) against a second
+    # formulation, the angle-map integrand over the whole square |s|, |t| <
+    # pi/2 at rel_tol 1e-12, which assumes no evenness
     cfg = ExperimentConfig(crystal_length_um=length, pump_waist_um=waist)
     res = enhancement_ratio(cfg)
-    half_pi = 0.5 * math.pi
-    square = ((-half_pi, half_pi), (-half_pi, half_pi))
     tight = QuadratureSpec(rel_tol=1e-12)
-    panels = tuple(2 * n for n in observables._initial_panels(cfg))
-    for name, spec in INTEGRALS.items():
+    for name, (kind, power, obliquity) in INTEGRALS.items():
         got = res.diagnostics[name]
-        ref = integrate_2d(_one_term(cfg, *spec, None), square, tight, panels)
+        terms = angle_terms(cfg, kind, ((power, obliquity, False),))
+        ref = integrate_2d(lambda s, t: terms(s, t)[0], SQUARE, tight, square_panels(cfg))
         assert ref.converged, name
-        error = abs(got.value - 0.25 * ref.value)
+        error = abs(got.value - ref.value)
         assert error <= got.error_estimate, (name, error, got.error_estimate)
+
+
+# points the angle map refused at the default max_evals, with R from an
+# independent sigma route (a 1D integral over sigma, a fixed inner rule in
+# u), as ROADMAP's table lists them
+CORNER_R = {(100.0, 0.3): 0.1897, (300.0, 1.0): 0.1355, (100.0, 0.2): 0.1971,
+            (1000.0, 1.0): 0.1003}
+
+
+@pytest.mark.parametrize("length, waist", sorted(CORNER_R))
+def test_tight_waist_corner_converges(length, waist):
+    res = enhancement_ratio(ExperimentConfig(crystal_length_um=length, pump_waist_um=waist))
+    assert res.converged
+    assert res.R == pytest.approx(CORNER_R[length, waist], rel=5e-4)
+
+
+def test_tight_waist_ratio_matches_the_angle_map():
+    # at (100, 0.5) um, where the angle map computes on 5.7 M shared nodes,
+    # its R lies within the sigma route's err_R
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=0.5)
+    res = enhancement_ratio(cfg)
+    quadrant = ((0.0, 0.5 * math.pi), (0.0, 0.5 * math.pi))
+    n_s, n_t = square_panels(cfg)
+    values = {}
+    for kind in AmplitudeKind:
+        names = [name for name, spec in INTEGRALS.items() if spec[0] is kind]
+        terms = [(power, obliquity, False) for _, power, obliquity in
+                 (INTEGRALS[name] for name in names)]
+        share = GridShare(angle_terms(cfg, kind, terms))
+        for i, name in enumerate(names):
+            # the integrand is even in s and t: four times its quadrant
+            result = integrate_2d(share.component(i), quadrant, cfg.quadrature,
+                                  (math.ceil(n_s / 2), math.ceil(n_t / 2)))
+            assert result.converged, name
+            values[name] = 4.0 * result.value
+    angle_r = ratio_from_integrals(values)[0].value
+    assert abs(res.R - angle_r) <= res.err_R, (res.R, angle_r, res.err_R)
 
 
 # ---------------------------------------------------------------- paraxial routes
@@ -494,10 +542,10 @@ PARAXIAL_METHODS = {"I1_ent": "gauss_1d", "I2_ent": "gauss_1d", "I2w_ent": "twic
 
 def _ratio_by_2d_quadrature(cfg):
     """R and err_R from integrate_2d of the reduced integrand, all six integrals."""
-    panels = observables._initial_panels(cfg)
+    edges = observables._phase_edges(cfg)
     results = {
-        name: integrate_2d(_one_term(cfg, *spec, None), observables._ANGLE_DOMAIN,
-                           cfg.quadrature, panels)
+        name: integrate_2d(_one_term(cfg, *spec, None), _half_domain(cfg), cfg.quadrature,
+                           observables._start_panels(cfg, edges, spec[0], None))
         for name, spec in INTEGRALS.items()
     }
     assert all(result.converged for result in results.values())
@@ -570,7 +618,7 @@ def test_separable_integrals_ignore_crystal_length(regime):
     assert short == long
 
 
-# ---------------------------------------------------------------- folded quadrant
+# ---------------------------------------------------------------- half ranges
 
 FOLD_LENGTHS_UM = (0.01, 1.0, 100.0)
 FOLD_WAISTS_UM = (1.0, 3.0, 10.0, 50.0, 100.0)
@@ -605,12 +653,14 @@ def test_separable_integrals_match_closed_form(regime):
 @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
 @pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
 def test_reduced_integrand_is_even_in_s_and_t(kind, regime):
-    # the premise of the folded quadrant: s -> -s exchanges the photons and
-    # t -> -t maps (kix, ksx) to (-ksx, -kix); neither changes the integrand
+    # the premise of the half ranges, on the integrand's axes s = sigma and
+    # t = tau: sigma -> -sigma exchanges the photons and tau -> -tau maps
+    # (kix, ksx) to (-ksx, -kix); neither changes the integrand
     rng = np.random.default_rng(7)
-    s = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(40, 1))
-    t = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(1, 30))
     cfg = ExperimentConfig(crystal_length_um=20.0, pump_waist_um=1.0, regime=regime)
+    top = observables._phase_edges(cfg)[-1]
+    s = rng.uniform(-top, top, size=(40, 1))
+    t = rng.uniform(-1.0, 1.0, size=(1, 30))
     for power in (1, 2):
         for obliquity in (False, True):
             f = _one_term(cfg, kind, power, obliquity, None)
@@ -623,9 +673,12 @@ def test_reduced_integrand_is_even_in_s_and_t(kind, regime):
 _BLOCK = (682, 24)  # one full row block of an L = 100 um grid, 16368 nodes
 
 
-def _block_nodes(rng):
-    s = np.sort(rng.uniform(0.0, 0.5 * math.pi, size=(_BLOCK[0], 1)), axis=0)
-    t = np.sort(rng.uniform(0.0, 0.5 * math.pi, size=(1, _BLOCK[1])), axis=1)
+def _block_nodes(rng, cfg, piece=-1):
+    # sigma over [0, edges[piece]] of cfg's half range: by default across
+    # both pieces, with piece=1 the interior one, where u is one row
+    top = observables._phase_edges(cfg)[piece]
+    s = np.sort(rng.uniform(0.0, top, size=(_BLOCK[0], 1)), axis=0)
+    t = np.sort(rng.uniform(0.0, 1.0, size=(1, _BLOCK[1])), axis=1)
     return s, t
 
 
@@ -634,8 +687,8 @@ def _block_nodes(rng):
 def test_reduced_integrand_block_call_allocates_little(kind, regime):
     # the integrand works in buffers it keeps between calls: a warm call
     # allocates its result and small per-row and per-column arrays only
-    s, t = _block_nodes(np.random.default_rng(5))
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    s, t = _block_nodes(np.random.default_rng(5), cfg)
     block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
     for power, obliquity in ((1, False), (2, False), (2, True)):
         f = _one_term(cfg, kind, power, obliquity, None)
@@ -656,8 +709,8 @@ def test_reduced_integrand_results_do_not_alias(kind, regime):
     # integrate_2d may keep a block's values: a later call on a block of the
     # same shape must leave them as they were
     rng = np.random.default_rng(6)
-    first_nodes, second_nodes = _block_nodes(rng), _block_nodes(rng)
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    first_nodes, second_nodes = _block_nodes(rng, cfg), _block_nodes(rng, cfg)
     for power, obliquity in ((1, False), (2, False), (2, True)):
         f = _one_term(cfg, kind, power, obliquity, None)
         first = f(*first_nodes)
@@ -682,8 +735,8 @@ _KERNEL_TABLES = {
 def test_kernel_weighted_block_call_allocates_little(kind, table):
     # the averaged kernel interpolates into workspace rows: a warm
     # kernel-weighted call allocates its result and small per-row arrays only
-    s, t = _block_nodes(np.random.default_rng(5))
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0)
+    s, t = _block_nodes(np.random.default_rng(5), cfg)
     block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
     even_kernel = observables._even_kernel(_KERNEL_TABLES[table], cfg.k0)
     f = _one_term(cfg, kind, 1, False, even_kernel)
@@ -708,8 +761,8 @@ _WEIGHTED_TERMS = ((1, False, True),) + _TERMS[1:]
 @pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
 def test_group_integrand_terms_equal_the_one_term_integrands(kind, regime):
     # each term of the group is formed in the one-term operation order: bit for bit
-    s, t = _block_nodes(np.random.default_rng(12))
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    s, t = _block_nodes(np.random.default_rng(12), cfg)
     even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
     for terms in (_TERMS, _WEIGHTED_TERMS):
         parts = observables._reduced_terms(cfg, kind, terms, even_kernel)(s, t)
@@ -724,8 +777,8 @@ def test_group_integrand_terms_equal_the_one_term_integrands(kind, regime):
 def test_group_block_call_allocates_little(kind, regime):
     # a warm group call allocates one result per term and small per-row and
     # per-column arrays; the terms' other factors live in workspace rows
-    s, t = _block_nodes(np.random.default_rng(5))
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    s, t = _block_nodes(np.random.default_rng(5), cfg)
     block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
     even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
     for terms in (_TERMS, _WEIGHTED_TERMS):
@@ -741,34 +794,50 @@ def test_group_block_call_allocates_little(kind, regime):
         assert peak <= (len(terms) + 1) * block_bytes, (terms, peak / block_bytes)
 
 
-def _per_node_integrand(cfg, kind, power, obliquity, even_kernel, s, t):
-    # the reduced integrand as one whole-array expression per node, with the
-    # paraxial mismatch in its three-term form kix^2/(2 k0) + ksx^2/(2 k0)
-    # - (kix + ksx)^2/(4 k0)
+def _per_node_integrand(cfg, kind, power, obliquity, even_kernel, sigma, tau):
+    # the reduced integrand as one whole-array expression per node, in
+    # _reduced_terms' operation order; the paraxial mismatch in its
+    # three-term form kix^2/(2 k0) + ksx^2/(2 k0) - (kix + ksx)^2/(4 k0)
     k0, length = cfg.k0, cfg.crystal_length_um
     paraxial = cfg.regime is Regime.PARAXIAL
-    v = 2.0 * k0 * np.sin(s)
-    jac_v = 2.0 * k0 * np.cos(s)
-    half_u = np.minimum(observables._umax(cfg), 2.0 * k0 - np.abs(v))
-    u = half_u * np.sin(t)
-    jac = half_u * np.cos(t)
+    umax = observables._umax(cfg)
+    square = sigma**2
+    if paraxial:
+        v = 2.0 * math.sqrt(k0) * sigma
+        h = np.minimum(umax, 2.0 * k0 - np.abs(v))
+        u = h * tau
+        jac = h * (4.0 * math.sqrt(k0)) + 0.0 * u
+        w = 2.0
+    else:
+        fourth = square**2
+        edge = ((2.0 * k0 - square) * (2.0 * k0 + square)) ** 2 / (
+            2.0 * (k0 * (4.0 * k0 * k0 + fourth) + fourth * np.sqrt(8.0 * k0 * k0 - fourth)))
+        h = np.minimum(umax, edge)
+        u = h * tau
+        s_root = np.sqrt(4.0 * k0 * k0 - u**2)
+        t_sum = s_root - square
+        r = np.sqrt(t_sum + s_root)
+        q_sq = t_sum**2 + u**2
+        q = np.sqrt(q_sq)
+        jac = ((t_sum**2 / r - r * square * u**2 / q_sq) * (4.0 * h)) / q
+        v = t_sum * sigma * r / q
+        w = t_sum / k0
     kix = (u + v) * 0.5
     ksx = (u - v) * 0.5
-    kz_sum = np.sqrt(np.maximum(k0**2 - kix**2, 0.0)) + np.sqrt(np.maximum(k0**2 - ksx**2, 0.0))
-    value = np.exp((u * cfg.pump_waist_um) ** 2 * -0.5)
+    value = np.exp((u * cfg.pump_waist_um) ** 2 * -0.5) + 0.0 * jac
     if kind is AmplitudeKind.ENTANGLED:
         if paraxial:
             mismatch = kix**2 / (2.0 * k0) + ksx**2 / (2.0 * k0) - (kix + ksx) ** 2 / (4.0 * k0)
         else:
-            mismatch = np.sqrt(np.maximum(4.0 * k0**2 - u**2, 0.0)) - kz_sum
+            mismatch = square
         value = value * amplitude.sinc(mismatch * (0.5 * length))
     if power == 2:
         value = value * value
     if obliquity:
-        value = value * (2.0 if paraxial else kz_sum / k0)
+        value = value * w
     if even_kernel is not None:
         value = value * even_kernel(kix, ksx)
-    return value * (2.0 * jac_v * jac)
+    return value * jac
 
 
 @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
@@ -777,29 +846,59 @@ def test_reduced_integrand_matches_the_per_node_formula(kind, regime):
     # factors computed on their own axes give the per-node values: the exact
     # regime bit for bit, the paraxial one within 1e-14 of the block's
     # largest value (near a zero of the sinc the three-term mismatch itself
-    # loses more than that to cancellation)
-    s, t = _block_nodes(np.random.default_rng(8))
+    # loses more than that to cancellation). A block across both sigma
+    # pieces, and one of the interior piece, whose u is one row
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    rng = np.random.default_rng(8)
+    blocks = (_block_nodes(rng, cfg), _block_nodes(rng, cfg, 1))
     even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
     cases = [(1, False, None), (2, False, None), (2, True, None), (1, False, even_kernel)]
-    for power, obliquity, kernel in cases:
+    for (s, t), (power, obliquity, kernel) in itertools.product(blocks, cases):
         # nan in every workspace row: a value read before this call wrote it
         # would show, rather than a stale one from an earlier call
         observables._WORKSPACE.rows(_BLOCK, 0, 1)
         observables._WORKSPACE.slab.fill(np.nan)
         got = _one_term(cfg, kind, power, obliquity, kernel)(s, t)
         want = _per_node_integrand(cfg, kind, power, obliquity, kernel, s, t)
-        label = (power, obliquity, kernel is not None)
+        label = (power, obliquity, kernel is not None, s.max())
         if regime is Regime.EXACT:
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), label
         else:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), label
 
 
-@pytest.mark.parametrize("with_kernel", [False, True])
-def test_paraxial_phase_matching_is_evaluated_once_per_row(with_kernel, monkeypatch):
-    # the paraxial mismatch (kix - ksx)^2 / (4 k0) depends on the row
-    # coordinate s alone: the sinc sees one column per block, never the block
+def test_phase_matching_map_identities():
+    # at random interior nodes (sigma, tau) of the exact map, read through a
+    # kernel that records (kix, ksx): sigma^2 is the exact mismatch there,
+    # the obliquity T / k0 has T = kiz + ksz, and the weighted term over the
+    # pump envelope, 2 h dv/dsigma, has dv/dsigma = 4 sigma kiz ksz / (kix ksz
+    # - ksx kiz), each to 1e-12 of the largest value
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=0.3)
+    k0 = cfg.k0
+    rng = np.random.default_rng(30)
+    sigma = rng.uniform(0.05, observables._phase_edges(cfg)[-1] - 0.05, size=(200, 1))
+    tau = rng.uniform(-0.95, 0.95, size=(200, 1))
+    nodes = {}
+
+    def record(kix, ksx):
+        nodes["kx"] = kix.copy(), ksx.copy()
+        return np.ones_like(kix)
+
+    terms = ((1, True, False), (1, False, True))
+    oblique, weighted = observables._reduced_terms(cfg, AmplitudeKind.SEPARABLE, terms, record)(
+        sigma, tau)
+    jac = weighted / np.exp(-0.5 * (nodes["kx"][0] + nodes["kx"][1]) ** 2 * cfg.pump_waist_um**2)
+    kix, ksx = nodes["kx"]
+    kiz, ksz = np.sqrt(k0**2 - kix**2), np.sqrt(k0**2 - ksx**2)
+    h = np.abs(kix + ksx) / np.abs(tau)
+    dv = 4.0 * sigma * kiz * ksz / (kix * ksz - ksx * kiz)
+    for got, want in ((sigma**2, amplitude.delta_kz_exact(kix, ksx, k0)),
+                      (oblique / weighted * k0, kiz + ksz), (jac / (2.0 * h), dv)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _sinc_shapes(regime, with_kernel, monkeypatch):
+    # the shapes the sinc sees in one block call of each entangled term
     shapes = []
     sinc = amplitude.sinc
 
@@ -808,8 +907,8 @@ def test_paraxial_phase_matching_is_evaluated_once_per_row(with_kernel, monkeypa
         return sinc(x, out)
 
     monkeypatch.setattr(amplitude, "sinc", recording_sinc)
-    s, t = _block_nodes(np.random.default_rng(9))
-    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=Regime.PARAXIAL)
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
+    s, t = _block_nodes(np.random.default_rng(9), cfg)
     even_kernel = observables._even_kernel(_KERNEL_TABLES["square"], cfg.k0) if with_kernel else None
     for power, obliquity in ((1, False), (2, False), (2, True)):
         shapes.clear()
@@ -817,14 +916,35 @@ def test_paraxial_phase_matching_is_evaluated_once_per_row(with_kernel, monkeypa
             cfg, AmplitudeKind.ENTANGLED, power, obliquity, even_kernel if power == 1 else None
         )
         assert f(s, t).shape == _BLOCK
-        assert shapes == [(_BLOCK[0], 1)], (power, obliquity)
+        yield (power, obliquity), list(shapes)
+
+
+@pytest.mark.parametrize("with_kernel", [False, True])
+def test_paraxial_phase_matching_is_evaluated_once_per_row(with_kernel, monkeypatch):
+    # the mismatch sigma^2 depends on the row coordinate alone: the sinc
+    # sees one column per block, never the block
+    for label, shapes in _sinc_shapes(Regime.PARAXIAL, with_kernel, monkeypatch):
+        assert shapes == [(_BLOCK[0], 1)], label
+
+
+@pytest.mark.parametrize("with_kernel", [False, True])
+def test_exact_phase_matching_is_evaluated_once_per_row(with_kernel, monkeypatch):
+    # in the exact regime too, the mismatch is sigma^2
+    for label, shapes in _sinc_shapes(Regime.EXACT, with_kernel, monkeypatch):
+        assert shapes == [(_BLOCK[0], 1)], label
+
+
+def _whole_domain(cfg):
+    # sigma's pieces mirrored to [-sigma_top, sigma_top], and tau over [-1, 1]
+    edges = observables._phase_edges(cfg)
+    return tuple(-x for x in edges[:0:-1]) + edges, (-1.0, 1.0)
 
 
 @pytest.mark.parametrize("shape", [(7, 7), (7, 4)])
 def test_even_kernel_keeps_the_coherent_integral(shape):
     # an asymmetric kernel, averaged over both reflections and integrated on
-    # the quadrant, gives a quarter of the raw kernel's integrand over the
-    # whole square |s|, |t| < pi/2; a loose tolerance keeps the kinked
+    # the half ranges, gives a quarter of the raw kernel's integrand over the
+    # whole ranges of sigma and tau; a loose tolerance keeps the kinked
     # bilinear kernel cheap to converge
     rng = np.random.default_rng(20261018)
     raw = TabulatedKernel("random", rng.normal(size=shape))
@@ -832,25 +952,23 @@ def test_even_kernel_keeps_the_coherent_integral(shape):
         crystal_length_um=1.0, pump_waist_um=1.0, quadrature=QuadratureSpec(rel_tol=1e-4)
     )
     k0 = cfg.k0
-    half_pi = 0.5 * math.pi
-    assert observables._ANGLE_DOMAIN == ((0.0, half_pi), (0.0, half_pi))
-    square = ((-half_pi, half_pi), (-half_pi, half_pi))
-    panels = observables._initial_panels(cfg)
-    # the square's panels as wide as the quadrant's
-    square_panels = tuple(2 * n for n in panels)
+    edges = observables._phase_edges(cfg)
     for kind, name in ((AmplitudeKind.ENTANGLED, "I1_ent"), (AmplitudeKind.SEPARABLE, "I1_sep")):
+        *sigma, tau = observables._start_panels(cfg, edges, kind, raw)
+        # the whole ranges' panels as wide as the half ranges'
+        whole_panels = (*sigma[::-1], *sigma, 2 * tau)
         f_raw = _one_term(cfg, kind, 1, False, lambda kix, ksx: raw.evaluate(kix, ksx, k0))
-        whole = integrate_2d(f_raw, square, cfg.quadrature, square_panels)
-        quadrant = observables._reduced_integrals(cfg, [name], raw)[name]
-        assert quadrant.converged and whole.converged
-        assert quadrant.value == pytest.approx(0.25 * whole.value, rel=1e-12)
-        assert 4 * quadrant.evals == whole.evals
+        whole = integrate_2d(f_raw, _whole_domain(cfg), cfg.quadrature, whole_panels)
+        half = observables._reduced_integrals(cfg, [name], raw)[name]
+        assert half.converged and whole.converged
+        assert half.value == pytest.approx(0.25 * whole.value, rel=1e-12)
+        assert 4 * half.evals == whole.evals
         # averaging over photon exchange alone is not enough
         def exchange_only(kix, ksx):
             return 0.5 * (raw.evaluate(kix, ksx, k0) + raw.evaluate(ksx, kix, k0))
 
         f_wrong = _one_term(cfg, kind, 1, False, exchange_only)
-        wrong = integrate_2d(f_wrong, observables._ANGLE_DOMAIN, cfg.quadrature, panels)
+        wrong = integrate_2d(f_wrong, _half_domain(cfg), cfg.quadrature, (*sigma, tau))
         assert abs(wrong.value / (0.25 * whole.value) - 1.0) > 1e-6
 
 
@@ -897,7 +1015,7 @@ def test_quadrupole_with_even_kernel():
     cfg = ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0)
     ch = QUADRUPOLE.with_kernel(make_synthetic_kernel(Parity.EVEN))
     res = enhancement_ratio(cfg, channel=ch)
-    assert res.R == pytest.approx(0.44671515046521015, rel=1e-9)  # regression pin
+    assert res.R == pytest.approx(0.44671512587419054, rel=1e-9)  # regression pin
     assert res.channel == "quadrupole"
     assert res.diagnostics["kernel"] == "model_kernel:synthetic_parity_even"
 

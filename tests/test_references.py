@@ -110,20 +110,6 @@ def test_separable_closed_forms_match_mpmath(length, waist):
         assert error <= res.error_estimate, (name, error, res.error_estimate)
 
 
-@pytest.mark.parametrize("length, waist", [(1.0, 10.0), (50.0, 3.0)])
-def test_exact_obliquity_weighted_separable_matches_its_1d_form(length, waist):
-    # exact I2w_sep stays a 2D quadrature; its 1D form is the reference
-    cfg = ExperimentConfig(crystal_length_um=length, pump_waist_um=waist)
-    res = observables._reduced_integrals(cfg, ("I2w_sep",))["I2w_sep"]
-    with mp.workdps(DIGITS):
-        truth = _exact_i2w_sep_reference(cfg)
-        error = float(abs(mp.mpf(res.value) - truth))
-        scale = float(abs(truth))
-    assert res.method == "tensor_gauss" and res.converged
-    assert error <= cfg.quadrature.rel_tol * scale, (error / scale, res.error_estimate / scale)
-    assert error <= res.error_estimate, (error, res.error_estimate)
-
-
 @pytest.mark.parametrize("length, waist", EXACT_POINTS_UM)
 def test_exact_separable_quadratures_match_mpmath(length, waist):
     # the exact regime integrates all three separable integrals in 2D; their

@@ -332,6 +332,15 @@ def test_cli_ratio_identity_limit(capsys):
     assert values["kernel"] == "none"
 
 
+@pytest.mark.parametrize("waist, length", [("0.3", "100"), ("1", "300")])
+def test_cli_ratio_computes_the_tight_waist_corner(waist, length, capsys):
+    # sub-um pumps and long crystals, where the paraxial approximation fails
+    assert main(["ratio", "--pump-waist", waist, "--length", length]) == 0
+    out = capsys.readouterr().out
+    values = dict(line.split(" = ", 1) for line in out.strip().splitlines() if " = " in line)
+    assert 0.0 < float(values["R"]) < 1.0
+
+
 def test_cli_ratio_rejects_bad_length(capsys):
     assert main(["ratio", "--length", "-1"]) == 1
     assert "crystal_length_um" in capsys.readouterr().err
