@@ -39,6 +39,9 @@ EXIT_NOT_CONVERGED = 2
 
 # amplitude-grid points per axis (16.8 M nodes), checked before any allocation
 MAX_GRID_N = 4096
+# oracle-check configs, checked before any is drawn: each runs a Monte Carlo
+# of at least oracle.MIN_SAMPLES samples, about 0.05 s, so 10 000 take ~10 min
+MAX_CHECK_CONFIGS = 10_000
 
 
 class _UsageError(Exception):
@@ -139,8 +142,7 @@ def _cmd_flux(args) -> int:
 def _cmd_amplitude_grid(args) -> int:
     cfg = _load_base_config(args)
     kind = AmplitudeKind(args.kind)
-    if not 2 <= args.n <= MAX_GRID_N:
-        raise _UsageError(f"--n must be between 2 and {MAX_GRID_N}, got {args.n}")
+    _bounded("--n", args.n, 2, MAX_GRID_N)
     if args.out:
         _check_writable("--out", args.out)
     k0 = cfg.k0
@@ -159,9 +161,10 @@ def _cmd_amplitude_grid(args) -> int:
     return EXIT_OK
 
 
-def _at_least_one(flag: str, value: Optional[int]) -> None:
-    if value is not None and value < 1:
-        raise _UsageError(f"{flag} must be >= 1, got {value}")
+def _bounded(flag: str, value: Optional[int], low: int, high: Optional[int] = None) -> None:
+    if value is not None and not (low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"between {low} and {high}"
+        raise _UsageError(f"{flag} must be {bounds}, got {value}")
 
 
 def _check_writable(flag: str, path: str) -> None:
@@ -179,7 +182,7 @@ def _check_writable(flag: str, path: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    _at_least_one("--workers", args.workers)
+    _bounded("--workers", args.workers, 1)
     preset = load_preset(args.preset)
     outputs = []
     if args.format in ("csv", "both"):
@@ -200,7 +203,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    _at_least_one("--configs", args.configs)
+    _bounded("--configs", args.configs, 1, MAX_CHECK_CONFIGS)
     configs = default_check_configs(args.configs)
     spec = McSpec(samples=args.samples, seed=args.seed)
     all_agree = True

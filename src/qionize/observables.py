@@ -20,13 +20,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from .amplitude import (
-    AmplitudeKind,
-    _paraxial_mismatch,
-    _reduced_amplitude,
-    check_narrowband_guard,
-    sinc,
-)
+from .amplitude import AmplitudeKind, _reduced_amplitude, check_narrowband_guard, sinc
 from .quadrature import (
     BLOCK_NODES,
     ConvergenceError,
@@ -381,6 +375,27 @@ def _even_kernel(kernel: TabulatedKernel, k0: float) -> Callable:
     return even
 
 
+def _chord(cfg: ExperimentConfig) -> Callable:
+    """h(sigma) = min(umax, u_edge(sigma)), the half-length of the u chord at sigma.
+
+    u_edge is the rhombus edge |u| + |v| = 2 k0: 2 k0 - 2 sqrt(k0) |sigma|
+    paraxially, exactly the smaller root of a quadratic, free of cancellation.
+    """
+    k0, umax = cfg.k0, _umax(cfg)
+    root_k0, two_k0, four_k0_sq = math.sqrt(k0), 2.0 * k0, 4.0 * k0 * k0
+    if cfg.regime is Regime.PARAXIAL:
+        return lambda sigma: np.minimum(umax, two_k0 - np.abs((2.0 * root_k0) * sigma))
+
+    def h(sigma):
+        square = np.square(sigma)
+        fourth = np.square(square)
+        edge = np.square((two_k0 - square) * (two_k0 + square)) / (
+            2.0 * (k0 * (four_k0_sq + fourth) + fourth * np.sqrt(2.0 * four_k0_sq - fourth)))
+        return np.minimum(umax, edge)
+
+    return h
+
+
 def _phase_edges(cfg: ExperimentConfig) -> Tuple[float, ...]:
     """The sigma pieces: 0, sigma_band (the chord h's kink, unless it rounds away), sigma_top."""
     k0, umax = cfg.k0, _umax(cfg)
@@ -402,14 +417,14 @@ def _reduced_terms(
 ) -> Callable:
     """Integrand over phase-matching coordinates (sigma, tau), one array per term.
 
-    Each term (power p, obliquity, weighted) is F^p, times the obliquity w
-    if set, times even_kernel if weighted, times the Jacobian: the
-    integrands of the INTEGRALS of one kind, each formed in the order of
-    the one-term case from one amplitude, Jacobian, w and kernel per call.
+    Each term (power p, obliquity, weighted) is F^p, times the exact
+    obliquity w if set, times even_kernel if weighted, times the Jacobian:
+    the integrands of the INTEGRALS of one kind, each formed in the order
+    of the one-term case from one amplitude, Jacobian, w and kernel per call.
 
     sigma = sign(v) sqrt(delta_kz) and u = h(sigma) tau, with u = kix + ksx,
-    v = kix - ksx and the chord h = min(umax, rhombus edge), is the map of
-    README Conventions: the sinc reads sinc(L sigma^2 / 2), and exactly
+    v = kix - ksx and the chord h of _chord, is the map of README
+    Conventions: the sinc reads sinc(L sigma^2 / 2), and exactly
     T = S - sigma^2 = kiz + ksz (w = T / k0). The integrand is even in sigma
     and tau as long as even_kernel is (see _even_kernel), so the integrals
     run over sigma, tau >= 0 with the Jacobian 4 (1/2) h dv/dsigma.
@@ -423,19 +438,12 @@ def _reduced_terms(
     paraxial = cfg.regime is Regime.PARAXIAL
     oblique = any(obliquity for _, obliquity, _ in terms)
     weighted = any(weight for _, _, weight in terms)
-    umax, root_k0, two_k0, four_k0_sq = _umax(cfg), math.sqrt(k0), 2.0 * k0, 4.0 * k0 * k0
+    umax, root_k0, four_k0_sq, chord = _umax(cfg), math.sqrt(k0), 4.0 * k0 * k0, _chord(cfg)
 
     def f(sigma, tau):
         shape = np.broadcast_shapes(np.shape(sigma), np.shape(tau))
         square = np.square(sigma)
-        if paraxial:
-            v = (2.0 * root_k0) * sigma
-            h = np.minimum(umax, two_k0 - np.abs(v))
-        else:
-            fourth = np.square(square)
-            edge = np.square((two_k0 - square) * (two_k0 + square)) / (
-                2.0 * (k0 * (four_k0_sq + fourth) + fourth * np.sqrt(2.0 * four_k0_sq - fourth)))
-            h = np.minimum(umax, edge)
+        h = chord(sigma)
         # one row of u where every row's chord is umax
         h_u = h[:1] if (h == umax).all() else h
         u, u_sq, s, pump = _WORKSPACE.rows(np.broadcast_shapes(np.shape(h_u), np.shape(tau)),
@@ -443,8 +451,8 @@ def _reduced_terms(
         t, r, q, a, b, jac, value, term, kix, ksx = _WORKSPACE.rows(shape, *_BLOCK_ROWS)
         np.multiply(h_u, tau, out=u)
         value = _reduced_amplitude(u, square, cfg, kind, (pump, value))
-        w = CONVENTIONS["obliquity_paraxial"]
         if paraxial:
+            v = (2.0 * root_k0) * sigma
             np.multiply(h, 4.0 * root_k0, out=jac)
         else:
             # S, T, r and q^2, then 2 h dv/dsigma
@@ -481,12 +489,12 @@ def _reduced_terms(
 
 def _start_panels(cfg: ExperimentConfig, edges: Sequence[float], kind: AmplitudeKind,
                   kernel: Optional[TabulatedKernel]) -> Tuple[float, ...]:
-    # one start per sigma piece [a, b], then tau's 2. The phase L sigma^2 / 2
-    # turns at the rate L b at the top b: an entangled piece starts at about
-    # 40 radians per panel, a separable one at 2. v crosses (n - 1) / 2 cells
-    # of a kernel table, each a kink, over sigma's whole range: a kernel
-    # ratio starts at one panel per cell or more. Whole Python floats, inf
-    # past overflow, priced by integrate_2d against max_evals.
+    # one start per sigma piece [a, b], then tau's 2 (which the paraxial 1D
+    # route drops). The phase L sigma^2 / 2 turns at the rate L b at the top
+    # b: an entangled piece starts at about 40 radians per panel, a separable
+    # one at 2. v crosses (n - 1) / 2 cells of a kernel table, each a kink,
+    # over sigma's whole range: a kernel ratio starts at one panel per cell
+    # or more. Whole Python floats, inf past overflow, priced against max_evals.
     length, pieces = float(cfg.crystal_length_um), list(zip(edges[:-1], edges[1:]))
     counts = [2.0 + float(np.ceil(length * b * (b - a) / 40.0))
               if kind is AmplitudeKind.ENTANGLED else 2.0 for a, b in pieces]
@@ -536,41 +544,30 @@ def _separable_closed_form(cfg: ExperimentConfig, power: int) -> IntegralResult:
 
 
 def _paraxial_entangled(cfg: ExperimentConfig, power: int) -> IntegralResult:
-    """I1_ent or I2_ent in the paraxial regime, one 1D integral over v.
+    """I1_ent or I2_ent in the paraxial regime: the sigma route, tau in closed form.
 
-    The paraxial mismatch reads v = kix - ksx alone, so at each v the u
-    integral over the rhombus chord |u| <= h(v) = min(umax, 2 k0 - |v|) is
-    the Gaussian moment g_p(h(v)), and with the integrand even in v
-    I = integral over 0 < v < 2 k0 of sinc(L v^2 / (8 k0))^p g_p(h(v)).
-    h is umax, g_p one constant, up to v = 2 k0 - umax; only the edge band
-    above needs an erf per node. The kink there is a piece edge, unless the
-    band is narrower than the rounding of 2 k0 (pump waists past ~1e15 um),
-    where g_p = g_p(umax) throughout is exact to that rounding.
+    At each sigma the u integral over the chord |u| <= h(sigma) is the
+    Gaussian moment g_p(h(sigma)), so with dv = 2 sqrt(k0) dsigma
+    I = 2 sqrt(k0) times the integral over the sigma pieces of
+    sinc(L sigma^2 / 2)^p g_p(h(sigma)). Below sigma_band g_p is one
+    constant; only the nodes above need an erf.
     """
-    k0, waist, umax = cfg.k0, cfg.pump_waist_um, _umax(cfg)
-    two_k0, half_length = 2.0 * k0, 0.5 * cfg.crystal_length_um
+    waist, umax, half_length = cfg.pump_waist_um, _umax(cfg), 0.5 * cfg.crystal_length_um
+    chord, scale = _chord(cfg), 2.0 * math.sqrt(cfg.k0)
     g_max = float(_gauss_moment(np.array([umax]), waist, power)[0])
 
-    def f(v):
-        value = sinc(_paraxial_mismatch(v, k0) * half_length)
+    def f(sigma):
+        value = sinc(np.square(sigma) * half_length)
         if power == 2:
             np.multiply(value, value, out=value)
-        h = two_k0 - v
-        g = np.full(v.shape, g_max)
+        h = chord(sigma)
+        g = np.full(sigma.shape, g_max)
         edge = np.flatnonzero(h < umax)
         g[edge] = _gauss_moment(h[edge], waist, power)
-        return np.multiply(value, g, out=value)
+        return np.multiply(np.multiply(value, g, out=value), scale, out=value)
 
-    band = two_k0 - umax
-    edges = (0.0, band, two_k0) if band < two_k0 else (0.0, two_k0)
-    # about 10 radians of p times the phase per 16-point panel, at the rate
-    # L b / (4 k0) the phase reaches at each piece's top b; whole Python
-    # floats, inf past overflow, priced by integrate_1d against max_evals
-    length = float(cfg.crystal_length_um)
-    panels = [
-        2.0 + float(np.ceil(power * length * b * (b - a) / (4.0 * k0) / 10.0))
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
+    edges = _phase_edges(cfg)
+    *panels, _ = _start_panels(cfg, edges, AmplitudeKind.ENTANGLED, None)
     return _with_rounding(cfg, integrate_1d(f, edges, cfg.quadrature, panels), power)
 
 
@@ -606,7 +603,7 @@ def _reduced_integrals(
     A kernel weights the coherent integrals I1 only. Each integral takes its
     cheapest exact route, named by its result's method:
     - paraxial, unweighted: I1_sep and I2_sep in closed form, I1_ent and
-      I2_ent by integrate_1d over v, I2w the paraxial obliquity times I2;
+      I2_ent by integrate_1d over sigma, I2w the paraxial obliquity times I2;
     - otherwise one call of the module-global integrate_2d, looked up at
       call time, over sigma on the pieces of _phase_edges and tau in [0, 1]
       from the panels of _start_panels, with _with_rounding's units added;

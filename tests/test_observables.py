@@ -306,6 +306,16 @@ def test_ratio_eval_schedule_pin():
     assert evals == (117760, 117760, 117760, 10240, 10240, 10240)
 
 
+def test_paraxial_eval_schedule_pin():
+    # the paraxial 1D route at the same config: both powers start from the
+    # sigma panels of the 2D rule and converge in one round, and the other
+    # four integrals spend no evals
+    cfg = ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0, regime=Regime.PARAXIAL)
+    res = enhancement_ratio(cfg)
+    evals = tuple(res.diagnostics[name].evals for name in INTEGRAL_NAMES)
+    assert evals == (1296, 1296, 0, 0, 0, 0)
+
+
 def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
     # one integrate_2d call per integral, in INTEGRALS order, each result
     # filed under its name with its estimate's rounding units added; the
@@ -541,13 +551,23 @@ PARAXIAL_METHODS = {"I1_ent": "gauss_1d", "I2_ent": "gauss_1d", "I2w_ent": "twic
 
 
 def _ratio_by_2d_quadrature(cfg):
-    """R and err_R from integrate_2d of the reduced integrand, all six integrals."""
+    """Paraxial R and err_R from integrate_2d of the reduced integrand.
+
+    I1 and I2 of each kind are 2D integrals; I2w is the paraxial obliquity
+    times its own 2D I2, value and error estimate.
+    """
     edges = observables._phase_edges(cfg)
-    results = {
-        name: integrate_2d(_one_term(cfg, *spec, None), _half_domain(cfg), cfg.quadrature,
-                           observables._start_panels(cfg, edges, spec[0], None))
-        for name, spec in INTEGRALS.items()
-    }
+    w = observables.CONVENTIONS["obliquity_paraxial"]
+    results = {}
+    for name, (kind, power, obliquity) in INTEGRALS.items():
+        if obliquity:
+            i2 = results[name.replace("I2w", "I2")]
+            results[name] = IntegralResult(w * i2.value, w * i2.error_estimate, 0, i2.converged,
+                                           i2.method)
+        else:
+            results[name] = integrate_2d(_one_term(cfg, kind, power, False, None),
+                                         _half_domain(cfg), cfg.quadrature,
+                                         observables._start_panels(cfg, edges, kind, None))
     assert all(result.converged for result in results.values())
     ratio, _ = ratio_from_integrals({name: result.value for name, result in results.items()})
     rel = sum(weight * observables._relative_error(results[name])
@@ -650,6 +670,13 @@ def test_separable_integrals_match_closed_form(regime):
                 assert results["I2w_sep"].value == 2.0 * results["I2_sep"].value, label
 
 
+def _integrand_cases(regime):
+    # (power, obliquity) of each kind's integrals in INTEGRALS order; the
+    # paraxial regime forms no obliquity term, since its I2w is twice I2
+    cases = ((1, False), (2, False), (2, True))
+    return cases if regime is Regime.EXACT else cases[:2]
+
+
 @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
 @pytest.mark.parametrize("kind", [AmplitudeKind.ENTANGLED, AmplitudeKind.SEPARABLE])
 def test_reduced_integrand_is_even_in_s_and_t(kind, regime):
@@ -662,7 +689,7 @@ def test_reduced_integrand_is_even_in_s_and_t(kind, regime):
     s = rng.uniform(-top, top, size=(40, 1))
     t = rng.uniform(-1.0, 1.0, size=(1, 30))
     for power in (1, 2):
-        for obliquity in (False, True):
+        for obliquity in (False, True) if regime is Regime.EXACT else (False,):
             f = _one_term(cfg, kind, power, obliquity, None)
             base = f(s, t)
             assert np.ptp(base) > 0.0
@@ -690,7 +717,7 @@ def test_reduced_integrand_block_call_allocates_little(kind, regime):
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
     s, t = _block_nodes(np.random.default_rng(5), cfg)
     block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
-    for power, obliquity in ((1, False), (2, False), (2, True)):
+    for power, obliquity in _integrand_cases(regime):
         f = _one_term(cfg, kind, power, obliquity, None)
         f(s, t)
         tracemalloc.start()
@@ -711,7 +738,7 @@ def test_reduced_integrand_results_do_not_alias(kind, regime):
     rng = np.random.default_rng(6)
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
     first_nodes, second_nodes = _block_nodes(rng, cfg), _block_nodes(rng, cfg)
-    for power, obliquity in ((1, False), (2, False), (2, True)):
+    for power, obliquity in _integrand_cases(regime):
         f = _one_term(cfg, kind, power, obliquity, None)
         first = f(*first_nodes)
         kept = first.copy()
@@ -751,10 +778,11 @@ def test_kernel_weighted_block_call_allocates_little(kind, table):
     assert peak <= 2 * block_bytes, peak / block_bytes
 
 
-# the three terms of each kind in INTEGRALS order, the coherent one weighted
-# by a kernel or not
-_TERMS = ((1, False, False), (2, False, False), (2, True, False))
-_WEIGHTED_TERMS = ((1, False, True),) + _TERMS[1:]
+def _group_terms(regime):
+    # the terms of each kind in INTEGRALS order, the coherent one weighted
+    # by a kernel or not
+    terms = tuple((power, obliquity, False) for power, obliquity in _integrand_cases(regime))
+    return terms, ((1, False, True),) + terms[1:]
 
 
 @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
@@ -764,7 +792,7 @@ def test_group_integrand_terms_equal_the_one_term_integrands(kind, regime):
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
     s, t = _block_nodes(np.random.default_rng(12), cfg)
     even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
-    for terms in (_TERMS, _WEIGHTED_TERMS):
+    for terms in _group_terms(regime):
         parts = observables._reduced_terms(cfg, kind, terms, even_kernel)(s, t)
         assert len(parts) == len(terms)
         for part, (power, obliquity, weighted) in zip(parts, terms):
@@ -781,7 +809,7 @@ def test_group_block_call_allocates_little(kind, regime):
     s, t = _block_nodes(np.random.default_rng(5), cfg)
     block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
     even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
-    for terms in (_TERMS, _WEIGHTED_TERMS):
+    for terms in _group_terms(regime):
         f = observables._reduced_terms(cfg, kind, terms, even_kernel)
         f(s, t)
         tracemalloc.start()
@@ -807,7 +835,6 @@ def _per_node_integrand(cfg, kind, power, obliquity, even_kernel, sigma, tau):
         h = np.minimum(umax, 2.0 * k0 - np.abs(v))
         u = h * tau
         jac = h * (4.0 * math.sqrt(k0)) + 0.0 * u
-        w = 2.0
     else:
         fourth = square**2
         edge = ((2.0 * k0 - square) * (2.0 * k0 + square)) ** 2 / (
@@ -852,7 +879,8 @@ def test_reduced_integrand_matches_the_per_node_formula(kind, regime):
     rng = np.random.default_rng(8)
     blocks = (_block_nodes(rng, cfg), _block_nodes(rng, cfg, 1))
     even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
-    cases = [(1, False, None), (2, False, None), (2, True, None), (1, False, even_kernel)]
+    cases = [(power, obliquity, None) for power, obliquity in _integrand_cases(regime)]
+    cases.append((1, False, even_kernel))
     for (s, t), (power, obliquity, kernel) in itertools.product(blocks, cases):
         # nan in every workspace row: a value read before this call wrote it
         # would show, rather than a stale one from an earlier call
@@ -897,6 +925,33 @@ def test_phase_matching_map_identities():
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+def test_chord_ends_on_the_rhombus_edge_or_the_pump_cut(regime):
+    # at tau = 1, read through a kernel that records (kix, ksx), every node
+    # below sigma_band lies on the pump cut |u| = umax and every node above
+    # on the rhombus edge |u| + |v| = 2 k0, each to 1e-12; the chord reaches
+    # umax at sigma_band, the kink of _phase_edges
+    cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=0.3, regime=regime)
+    k0, umax = cfg.k0, observables._umax(cfg)
+    _, band, top = observables._phase_edges(cfg)
+    sigma = np.sort(np.random.default_rng(31).uniform(0.0, top, size=(200, 1)), axis=0)
+    nodes = {}
+
+    def record(kix, ksx):
+        nodes["kx"] = kix.copy(), ksx.copy()
+        return np.ones_like(kix)
+
+    observables._reduced_terms(cfg, AmplitudeKind.SEPARABLE, ((1, False, True),), record)(
+        sigma, np.ones((1, 1)))
+    kix, ksx = nodes["kx"]
+    u, v = np.abs(kix + ksx), np.abs(kix - ksx)
+    inner = sigma < band
+    assert inner.any() and not inner.all()
+    assert np.abs(u[inner] - umax).max() <= 1e-12 * umax
+    assert np.abs(u[~inner] + v[~inner] - 2.0 * k0).max() <= 1e-12 * 2.0 * k0
+    assert observables._chord(cfg)(np.array(band)) == pytest.approx(umax, rel=1e-12, abs=0.0)
+
+
 def _sinc_shapes(regime, with_kernel, monkeypatch):
     # the shapes the sinc sees in one block call of each entangled term
     shapes = []
@@ -910,7 +965,7 @@ def _sinc_shapes(regime, with_kernel, monkeypatch):
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
     s, t = _block_nodes(np.random.default_rng(9), cfg)
     even_kernel = observables._even_kernel(_KERNEL_TABLES["square"], cfg.k0) if with_kernel else None
-    for power, obliquity in ((1, False), (2, False), (2, True)):
+    for power, obliquity in _integrand_cases(regime):
         shapes.clear()
         f = _one_term(
             cfg, AmplitudeKind.ENTANGLED, power, obliquity, even_kernel if power == 1 else None

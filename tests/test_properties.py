@@ -201,6 +201,8 @@ _ORACLE_REJECTED = (
 # argparse stores [] for a flag value of "--"
 @example(flags=("--", "100000", "0"))
 @example(flags=("1", "--", "0"))
+# a config count whose draws alone would fill terabytes
+@example(flags=("1000000000000", "100000", "0"))
 def test_cli_oracle_check_property_exit_codes(flags, capsys):
     configs, samples, seed = flags
     argv = ["oracle-check", f"--configs={configs}", f"--samples={samples}", f"--seed={seed}"]

@@ -16,7 +16,7 @@ import pytest
 
 import qionize
 from qionize import cli, sweep
-from qionize.cli import MAX_GRID_N, main
+from qionize.cli import MAX_CHECK_CONFIGS, MAX_GRID_N, main
 from qionize.observables import DIPOLE, INTEGRALS, enhancement_ratio
 from qionize.sweep import (
     AXIS_NAMES,
@@ -341,6 +341,22 @@ def test_cli_ratio_computes_the_tight_waist_corner(waist, length, capsys):
     assert 0.0 < float(values["R"]) < 1.0
 
 
+def test_cli_ratio_computes_a_long_paraxial_crystal(capsys):
+    # the paraxial 1D route starts from the sigma panels of the 2D rule, a
+    # start the budget pays for up to L of about 4.4e5 um
+    argv = ["ratio", "--regime", "paraxial", "--length", "1e5", "--pump-waist", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    values = dict(line.split(" = ", 1) for line in out.strip().splitlines() if " = " in line)
+    assert 0.0 < float(values["R"]) < 1.0
+    cfg = ExperimentConfig(crystal_length_um=1e5, pump_waist_um=1.0, regime=Regime.PARAXIAL)
+    res = enhancement_ratio(cfg)
+    for name in ("I1_ent", "I2_ent"):
+        integral = res.diagnostics[name]
+        assert (integral.method, integral.converged) == ("gauss_1d", True), name
+        assert 0 < integral.evals <= cfg.quadrature.max_evals, name
+
+
 def test_cli_ratio_rejects_bad_length(capsys):
     assert main(["ratio", "--length", "-1"]) == 1
     assert "crystal_length_um" in capsys.readouterr().err
@@ -430,6 +446,19 @@ def test_cli_oracle_check_refuses_samples_past_the_ceiling(capsys):
     assert "samples must be <=" in err
     assert "Traceback" not in err
     assert elapsed < 5.0
+
+
+def test_cli_oracle_check_refuses_config_counts_past_the_ceiling(capsys):
+    # checked before any config is drawn: 1e12 configs would ask for 7.3 TiB
+    for count in (str(MAX_CHECK_CONFIGS + 1), "1000000000000"):
+        start = time.perf_counter()
+        code = main(["oracle-check", "--configs", count, "--samples", "100000"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"--configs must be between 1 and {MAX_CHECK_CONFIGS}" in err
+        assert "Traceback" not in err
+        assert elapsed < 5.0
 
 
 def test_cli_oracle_check_rejects_negative_seed(capsys):
