@@ -16,7 +16,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -543,35 +543,35 @@ def _separable_closed_form(cfg: ExperimentConfig, power: int) -> IntegralResult:
     return IntegralResult(value, err, 0, err <= cfg.quadrature.tolerance(value), "closed_form")
 
 
-def _paraxial_entangled(cfg: ExperimentConfig, power: int) -> IntegralResult:
-    """I1_ent or I2_ent in the paraxial regime: the sigma route, tau in closed form.
+def _paraxial_terms(cfg: ExperimentConfig, powers: Sequence[int]) -> Callable:
+    """Paraxial I1_ent and I2_ent integrands over sigma, one array per power.
 
-    At each sigma the u integral over the chord |u| <= h(sigma) is the
-    Gaussian moment g_p(h(sigma)), so with dv = 2 sqrt(k0) dsigma
-    I = 2 sqrt(k0) times the integral over the sigma pieces of
-    sinc(L sigma^2 / 2)^p g_p(h(sigma)). Below sigma_band g_p is one
-    constant; only the nodes above need an erf.
+    The sigma route with tau in closed form: with dv = 2 sqrt(k0) dsigma,
+    I_p = 2 sqrt(k0) times the integral of sinc(L sigma^2 / 2)^p g_p(h(sigma)),
+    the u integral over the chord. A call computes the sinc and the chord
+    once for all powers, and g_p, a constant below sigma_band, by erf above.
     """
     waist, umax, half_length = cfg.pump_waist_um, _umax(cfg), 0.5 * cfg.crystal_length_um
     chord, scale = _chord(cfg), 2.0 * math.sqrt(cfg.k0)
-    g_max = float(_gauss_moment(np.array([umax]), waist, power)[0])
+    g_max = [float(_gauss_moment(np.array([umax]), waist, power)[0]) for power in powers]
 
     def f(sigma):
         value = sinc(np.square(sigma) * half_length)
-        if power == 2:
-            np.multiply(value, value, out=value)
         h = chord(sigma)
-        g = np.full(sigma.shape, g_max)
         edge = np.flatnonzero(h < umax)
-        g[edge] = _gauss_moment(h[edge], waist, power)
-        return np.multiply(np.multiply(value, g, out=value), scale, out=value)
+        parts = []
+        for power, top in zip(powers, g_max):
+            g = np.full(sigma.shape, top)
+            g[edge] = _gauss_moment(h[edge], waist, power)
+            part = np.multiply(value, value) if power == 2 else value
+            # the one fresh array of the term: sinc^p, times g, times 2 sqrt(k0)
+            parts.append(np.multiply(np.multiply(part, g, out=g), scale, out=g))
+        return tuple(parts)
 
-    edges = _phase_edges(cfg)
-    *panels, _ = _start_panels(cfg, edges, AmplitudeKind.ENTANGLED, None)
-    return _with_rounding(cfg, integrate_1d(f, edges, cfg.quadrature, panels), power)
+    return f
 
 
-def _with_rounding(cfg: ExperimentConfig, result: IntegralResult, power: int, bound=1.0):
+def _with_rounding(cfg: ExperimentConfig, result: IntegralResult, power: int, bound: float):
     """result with eight rounding units added to its estimate, converged re-judged.
 
     The doubling delta can reach 0 while rounding still counts: each node is
@@ -594,7 +594,7 @@ def _paraxial_i2w(result: IntegralResult) -> IntegralResult:
 
 def _reduced_integrals(
     cfg: ExperimentConfig,
-    names: Iterable[str],
+    names: Collection[str],
     kernel: Optional[TabulatedKernel] = None,
     grid_nodes: Optional[Dict[str, int]] = None,
 ) -> Dict[str, IntegralResult]:
@@ -602,60 +602,59 @@ def _reduced_integrals(
 
     A kernel weights the coherent integrals I1 only. Each integral takes its
     cheapest exact route, named by its result's method:
-    - paraxial, unweighted: I1_sep and I2_sep in closed form, I1_ent and
-      I2_ent by integrate_1d over sigma, I2w the paraxial obliquity times I2;
-    - otherwise one call of the module-global integrate_2d, looked up at
-      call time, over sigma on the pieces of _phase_edges and tau in [0, 1]
-      from the panels of _start_panels, with _with_rounding's units added;
-      the exact regime makes its six calls in INTEGRALS order. The 2D
-      integrals of one kind are the terms of one _reduced_terms integrand:
-      each is a component of the kind's GridShare, so each grid that any of
-      them refines is evaluated once, while each keeps its own schedule,
-      evals and result.
-    grid_nodes, if given, receives for each kind's value the integrand
-    nodes actually evaluated, over all its routes.
+    - paraxial, unweighted: I1_sep and I2_sep in closed form, I2w the
+      paraxial obliquity times I2, and I1_ent and I2_ent by integrate_1d
+      over sigma on the pieces of _phase_edges;
+    - otherwise integrate_2d over sigma on those pieces and tau in [0, 1].
+    Each quadrature integral starts from the panels of _start_panels, gets
+    _with_rounding's units and is a component of its group's GridShare. A
+    group is one kind on one number of axes, run in the order of its first
+    name, and its vector integrand (_reduced_terms in 2D, _paraxial_terms in
+    1D) returns one term per integral: each grid that any of them refines
+    is evaluated once, while each keeps its own schedule, evals and result.
+    So for names in INTEGRALS order the exact regime makes its six calls in
+    that order. integrate_1d and integrate_2d are the module globals, looked
+    up at call time. grid_nodes, if given, receives for each kind's value
+    the integrand nodes its shares evaluated.
     """
     check_narrowband_guard(cfg)
     paraxial = cfg.regime is Regime.PARAXIAL
-    even_kernel = _even_kernel(kernel, cfg.k0) if kernel is not None else None
-    names = tuple(names)
-    # the 2D integrals of each kind, name -> (power, obliquity, weighted)
-    planar: Dict[AmplitudeKind, Dict[str, Tuple[int, bool, bool]]] = {k: {} for k in AmplitudeKind}
+    # the quadrature integrals of each group (kind, axes), name -> term
+    # (power, obliquity, weighted); paraxial I2w_ent is twice I2_ent
+    groups: Dict[Tuple[AmplitudeKind, int], Dict[str, Tuple[int, bool, bool]]] = {}
     for name in names:
         kind, power, obliquity = INTEGRALS[name]
         weighted = kernel is not None and power == 1
         if not paraxial or weighted:
-            planar[kind][name] = (power, obliquity, weighted)
-    shares = {kind: GridShare(_reduced_terms(cfg, kind, tuple(terms.values()), even_kernel))
-              for kind, terms in planar.items()}
+            groups.setdefault((kind, 2), {})[name] = power, obliquity, weighted
+        elif kind is AmplitudeKind.ENTANGLED:
+            groups.setdefault((kind, 1), {})[name.replace("I2w", "I2")] = power, False, False
+    even_kernel = _even_kernel(kernel, cfg.k0) if kernel is not None else None
     edges = _phase_edges(cfg)
     computed: Dict[str, IntegralResult] = {}
-    for name in names:
-        kind, power, _ = INTEGRALS[name]
-        terms = planar[kind]
-        if name not in terms:
-            # I2w is the constant paraxial obliquity times I2: each norm runs once
-            norm = name.replace("I2w", "I2")
-            if norm not in computed:
-                separable = kind is AmplitudeKind.SEPARABLE
-                route = _separable_closed_form if separable else _paraxial_entangled
-                computed[norm] = route(cfg, power)
-            computed[name] = computed[norm] if norm == name else _paraxial_i2w(computed[norm])
-        else:
-            f = shares[kind].component(list(terms).index(name))
-            result = integrate_2d(f, (edges, (0.0, 1.0)), cfg.quadrature,
-                                  _start_panels(cfg, edges, kind, kernel))
+    nodes = dict.fromkeys(AmplitudeKind, 0)
+    for (kind, axes), terms in groups.items():
+        share = GridShare(_reduced_terms(cfg, kind, list(terms.values()), even_kernel) if axes == 2
+                          else _paraxial_terms(cfg, [power for power, _, _ in terms.values()]))
+        # in 1D tau is in closed form: the sigma counts alone, never a kernel's
+        panels = _start_panels(cfg, edges, kind, kernel if axes == 2 else None)
+        for index, (name, (power, obliquity, weighted)) in enumerate(terms.items()):
+            f = share.component(index)
+            result = (integrate_2d(f, (edges, (0.0, 1.0)), cfg.quadrature, panels) if axes == 2
+                      else integrate_1d(f, edges, cfg.quadrature, panels[:-1]))
             # the obliquity is at most 2, the averaged kernel at most the table's largest |K|
-            _, obliquity, weighted = terms[name]
             bound = (1.0 + obliquity) * (float(np.abs(kernel.values).max()) if weighted else 1.0)
             computed[name] = _with_rounding(cfg, result, power, bound)
+        nodes[kind] += share.nodes
+    for name in names:
+        if name not in computed:
+            # a paraxial I2w is twice its norm I2, each separable norm a closed form
+            norm = name.replace("I2w", "I2")
+            if norm not in computed:
+                computed[norm] = _separable_closed_form(cfg, INTEGRALS[norm][1])
+            computed[name] = computed[norm] if norm == name else _paraxial_i2w(computed[norm])
     if grid_nodes is not None:
-        for kind, share in shares.items():
-            # the nodes of the shared grids and of the 1D routes
-            grid_nodes[kind.value] = share.nodes + sum(
-                result.evals for name, result in computed.items()
-                if INTEGRALS[name][0] is kind and name not in planar[kind]
-            )
+        grid_nodes.update({kind.value: count for kind, count in nodes.items()})
     return {name: computed[name] for name in names}
 
 

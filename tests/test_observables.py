@@ -32,7 +32,13 @@ from qionize.observables import (
     ratio_from_integrals,
     save_kernel,
 )
-from qionize.quadrature import ConvergenceError, GridShare, IntegralResult, integrate_2d
+from qionize.quadrature import (
+    ConvergenceError,
+    GridShare,
+    IntegralResult,
+    integrate_1d,
+    integrate_2d,
+)
 from qionize.units import (
     C_UM_PER_S,
     DomainError,
@@ -370,13 +376,18 @@ def _bits(result):
 def test_shared_grids_give_the_unshared_results_bit_for_bit(monkeypatch):
     # the integrals of one kind share grid evaluations; each keeps its own
     # schedule, so its value, error, evals, flag and method are those of the
-    # integral run alone. A plain lambda around each integrand hides the share
+    # integral run alone. A plain lambda around each integrand hides the
+    # share, on the 2D and the paraxial 1D routes alike
     shared = [enhancement_ratio(cfg, channel) for cfg, channel in _ratio_panel_cases()]
 
     def unshared_integrate_2d(f, domain, spec=None, initial_panels=(2, 2)):
         return integrate_2d(lambda x, y: f(x, y), domain, spec, initial_panels)
 
+    def unshared_integrate_1d(f, edges, spec=None, initial_panels=None):
+        return integrate_1d(lambda x: f(x), edges, spec, initial_panels)
+
     monkeypatch.setattr(observables, "integrate_2d", unshared_integrate_2d)
+    monkeypatch.setattr(observables, "integrate_1d", unshared_integrate_1d)
     for (cfg, channel), res in zip(_ratio_panel_cases(), shared):
         alone = enhancement_ratio(cfg, channel)
         label = (cfg.crystal_length_um, cfg.pump_waist_um, cfg.regime.value, channel.name)
@@ -402,30 +413,49 @@ def test_grid_nodes_count_the_shared_evaluations():
         assert res.diagnostics["grid_nodes"][kind] < evals, kind
     pinned = enhancement_ratio(ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0))
     assert pinned.diagnostics["grid_nodes"] == {"entangled": 117760, "separable": 10240}
+    # paraxial I1_ent and I2_ent share one sigma grid: at (50, 3) um both
+    # take 1296 evals, at (15, 10) um 576 and 1344; the closed forms none
+    paraxial = ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0, regime=Regime.PARAXIAL)
+    assert enhancement_ratio(paraxial).diagnostics["grid_nodes"] == {"entangled": 1296,
+                                                                     "separable": 0}
+    longer = paraxial.replace(pump_waist_um=10.0, crystal_length_um=15.0)
+    assert enhancement_ratio(longer).diagnostics["grid_nodes"]["entangled"] == 1344
+    # the larger schedule's grids contain the smaller's
+    for cfg, channel in _ratio_panel_cases():
+        if cfg.regime is Regime.PARAXIAL and channel.kernel is None:
+            res = enhancement_ratio(cfg, channel)
+            evals = (res.diagnostics["I1_ent"].evals, res.diagnostics["I2_ent"].evals)
+            assert res.diagnostics["grid_nodes"]["entangled"] == max(evals), cfg
 
 
 def test_shared_grids_see_only_cache_sized_blocks(monkeypatch):
-    # the shared vector integrand is evaluated on the same row blocks as a
-    # single integral's, never on the whole L = 100 um grid
+    # the shared vector integrand is evaluated on the same blocks as a
+    # single integral's, never on the whole grid: in 2D row blocks of the
+    # L = 100 um grid, in 1D runs of the paraxial L = 1e4 um sigma grid
     calls = []
 
     class RecordingShare(quadrature.GridShare):
         def __init__(self, f):
-            def recorded(x, y):
-                parts = f(x, y)
+            def recorded(*nodes):
+                parts = f(*nodes)
                 assert len({np.shape(part) for part in parts}) == 1
-                calls.append((np.size(parts[0]), np.size(y)))
+                calls.append((np.size(parts[0]), np.size(nodes[-1]) if len(nodes) == 2 else 1))
                 return parts
 
             super().__init__(recorded)
 
     monkeypatch.setattr(observables, "GridShare", RecordingShare)
-    res = enhancement_ratio(ExperimentConfig(pump_waist_um=100.0, crystal_length_um=100.0))
-    assert res.converged
-    nodes = sum(res.diagnostics["grid_nodes"].values())
-    assert sum(n for n, _ in calls) == nodes
-    for n, ny in calls:
-        assert n <= max(quadrature.BLOCK_NODES, ny)
+    for cfg in (ExperimentConfig(pump_waist_um=100.0, crystal_length_um=100.0),
+                ExperimentConfig(pump_waist_um=10.0, crystal_length_um=1e4,
+                                 regime=Regime.PARAXIAL)):
+        calls.clear()
+        res = enhancement_ratio(cfg)
+        assert res.converged
+        nodes = sum(res.diagnostics["grid_nodes"].values())
+        assert nodes > quadrature.BLOCK_NODES
+        assert sum(n for n, _ in calls) == nodes
+        for n, ny in calls:
+            assert n <= max(quadrature.BLOCK_NODES, ny)
 
 
 def test_views_equal_the_ratio_parts():

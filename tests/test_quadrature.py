@@ -378,25 +378,32 @@ def test_integrate_1d_checks_the_integrand_shape():
         integrate_1d(lambda x: np.ones(3), (0.0, 1.0), TIGHT)
 
 
-def test_grid_share_gives_each_component_its_own_result():
-    # components with different schedules on one share: each result is the
-    # component's own integral bit for bit, and each distinct grid is
-    # evaluated once, so fewer nodes are evaluated than the evals add up to
-    components = (
+@pytest.mark.parametrize("integrate, domain, components", [
+    (integrate_2d, ((0.0, 3.0), (-1.0, 2.0)), (
         lambda x, y: np.cos(7.0 * x) * np.cos(3.0 * y),
         lambda x, y: np.cos(40.0 * x) * np.cos(3.0 * y),
         lambda x, y: np.cos(7.0 * x) * np.cos(25.0 * y),
-    )
-    box = ((0.0, 3.0), (-1.0, 2.0))
-    share = quadrature.GridShare(lambda x, y: tuple(g(x, y) for g in components))
-    shared = [integrate_2d(share.component(i), box, TIGHT) for i in range(len(components))]
-    alone = [integrate_2d(g, box, TIGHT) for g in components]
-    assert shared == alone
+    )),
+    # two pieces; each round doubles both, so the schedules differ in their rounds
+    (integrate_1d, (0.0, 1.0, 3.0), (
+        lambda x: np.cos(7.0 * x),
+        lambda x: np.cos(90.0 * x),
+        lambda x: np.exp(-np.abs(x - 1.0)),
+    )),
+], ids=["2d", "1d"])
+def test_grid_share_gives_each_component_its_own_result(integrate, domain, components):
+    # components with different schedules on one share: each result is the
+    # component's own integral bit for bit, and each distinct grid is
+    # evaluated once, so fewer nodes are evaluated than the evals add up to
+    share = quadrature.GridShare(lambda *nodes: tuple(g(*nodes) for g in components))
+    shared = [integrate(share.component(i), domain, TIGHT) for i in range(len(components))]
+    alone = [integrate(g, domain, TIGHT) for g in components]
+    assert [repr(r) for r in shared] == [repr(r) for r in alone]
     assert len({r.evals for r in alone}) > 1
     assert 0 < share.nodes < sum(r.evals for r in alone)
     # a wrapper hides the mark: the component then evaluates the whole
     # vector integrand on its own grids, and the share counts those nodes
-    hidden = quadrature.GridShare(lambda x, y: tuple(g(x, y) for g in components))
+    hidden = quadrature.GridShare(lambda *nodes: tuple(g(*nodes) for g in components))
     marked = hidden.component(0)
-    assert integrate_2d(lambda x, y: marked(x, y), box, TIGHT) == alone[0]
+    assert integrate(lambda *nodes: marked(*nodes), domain, TIGHT) == alone[0]
     assert hidden.nodes == alone[0].evals
