@@ -571,15 +571,16 @@ def _paraxial_terms(cfg: ExperimentConfig, powers: Sequence[int]) -> Callable:
     return f
 
 
-def _with_rounding(cfg: ExperimentConfig, result: IntegralResult, power: int, bound: float):
+def _with_rounding(cfg: ExperimentConfig, result: IntegralResult, unit: float):
     """result with eight rounding units added to its estimate, converged re-judged.
 
     The doubling delta can reach 0 while rounding still counts: each node is
     off by about eps of |F_sep|^p times bound, the bound of its other factors,
-    whatever the sinc's phase, so the sum by about eps times the separable
-    integral times bound; mpmath references measure at most one such unit.
+    whatever the sinc's phase, so the sum by about eps times unit, the
+    separable integral of power p times bound; mpmath references measure at
+    most one such unit.
     """
-    err = result.error_estimate + 8.0 * _EPS * (_separable_closed_form(cfg, power).value * bound)
+    err = result.error_estimate + 8.0 * _EPS * unit
     converged = result.converged and err <= cfg.quadrature.tolerance(result.value)
     return replace(result, error_estimate=err, converged=converged)
 
@@ -631,6 +632,9 @@ def _reduced_integrals(
             groups.setdefault((kind, 1), {})[name.replace("I2w", "I2")] = power, False, False
     even_kernel = _even_kernel(kernel, cfg.k0) if kernel is not None else None
     edges = _phase_edges(cfg)
+    # the separable closed form of each power: a result, or a rounding unit
+    separable = {power: _separable_closed_form(cfg, power)
+                 for power in {INTEGRALS[name][1] for name in names}}
     computed: Dict[str, IntegralResult] = {}
     nodes = dict.fromkeys(AmplitudeKind, 0)
     for (kind, axes), terms in groups.items():
@@ -644,14 +648,14 @@ def _reduced_integrals(
                       else integrate_1d(f, edges, cfg.quadrature, panels[:-1]))
             # the obliquity is at most 2, the averaged kernel at most the table's largest |K|
             bound = (1.0 + obliquity) * (float(np.abs(kernel.values).max()) if weighted else 1.0)
-            computed[name] = _with_rounding(cfg, result, power, bound)
+            computed[name] = _with_rounding(cfg, result, separable[power].value * bound)
         nodes[kind] += share.nodes
     for name in names:
         if name not in computed:
             # a paraxial I2w is twice its norm I2, each separable norm a closed form
             norm = name.replace("I2w", "I2")
             if norm not in computed:
-                computed[norm] = _separable_closed_form(cfg, INTEGRALS[norm][1])
+                computed[norm] = separable[INTEGRALS[norm][1]]
             computed[name] = computed[norm] if norm == name else _paraxial_i2w(computed[norm])
     if grid_nodes is not None:
         grid_nodes.update({kind.value: count for kind, count in nodes.items()})

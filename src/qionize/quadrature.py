@@ -16,13 +16,16 @@ integral's own rule. The integrals of the components of one vector
 integrand f can share its grids: GridShare(f).component(i) is component i
 as an integrand, and each distinct grid is evaluated once for all of them,
 so fewer nodes may be evaluated than their evals add up to, while every
-integral keeps its own schedule, evals and result. A grid is never built
-whole: the integrand is called on blocks of about BLOCK_NODES nodes, a run
-of consecutive nodes of one piece of the first axis times the whole second
-axis, and each block is reduced before the next is evaluated. Integrands
-must therefore be pointwise (a node's value depends on its own coordinates
-only) and broadcast: in 2D f(x_blk[:, None], y[None, :]) ->
-(len(x_blk), len(y)) array, in 1D f(x_blk) -> array of x_blk's shape.
+integral keeps its own schedule, evals and result. The integrand is called
+on blocks of about BLOCK_NODES nodes or fewer, a run of consecutive nodes
+of the first axis times the whole second axis, and each block is reduced
+before the next is evaluated: a grid that fits in one block is one call on
+the joined nodes of all its pieces, a larger one is walked piece by piece
+and never built whole. Integrands must therefore be pointwise (a node's
+value depends on its own coordinates only) and broadcast: in 2D
+f(x_blk[:, None], y[None, :]) -> (len(x_blk), len(y)) array, in 1D
+f(x_blk) -> array of x_blk's shape. They must not write into the nodes,
+which may be the read-only arrays of a kept panel rule.
 """
 
 from __future__ import annotations
@@ -101,34 +104,50 @@ def _check_edges(edges) -> Tuple[float, ...]:
     return points
 
 
-def _panel_rule(a: float, b: float, n_panels: int):
-    # n_panels equal subintervals, each carrying one scaled Gauss rule
+def _new_rule(a: float, b: float, n_panels: int):
+    # n_panels equal subintervals, each carrying one scaled Gauss rule, read-only
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
     w = (half[:, None] * _GL16_W[None, :]).ravel()
+    x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+_kept_rule = functools.lru_cache(maxsize=256)(_new_rule)
+
+
+def _panel_rule(a: float, b: float, n_panels: int):
+    # rules of one block or less recur across the grids of a round, both
+    # kinds and every L at one waist, and cost more to build than to keep;
+    # a larger one is built anew, so the cache holds at most 64 MiB
+    return (_kept_rule if 16 * n_panels <= BLOCK_NODES else _new_rule)(a, b, n_panels)
 
 
 def _grid_sum(f, axes, panels):
     # the product rule's sums over the grid, one per array of the tuple f
-    # returns, and its node count. The first axis is walked piece by piece
-    # in runs of consecutive nodes, each run times the whole second axis
-    # (integrate_2d's, one piece) about BLOCK_NODES nodes, so the
-    # integrand's temporaries stay in cache; the einsum reductions stay
-    # single-threaded (no BLAS) and the partial sums add in fixed order, so
-    # each sum depends on nothing but the panels
+    # returns, and its node count. Blocks are runs of consecutive nodes of
+    # the first axis, each run times the whole second axis (integrate_2d's,
+    # one piece) about BLOCK_NODES nodes, so the integrand's temporaries stay
+    # in cache: the joined pieces if the grid fits in one block, else runs
+    # within one piece at a time. The einsum reductions stay single-threaded
+    # (no BLAS) and the partial sums add in fixed order, so each sum depends
+    # on nothing but the panels
     y = wy = None
     if len(axes) == 2:
         (y0, y1), (ny,) = axes[1], panels[1]
         y, wy = _panel_rule(y0, y1, ny)
     cols = 1 if y is None else y.size
     rows = max(1, BLOCK_NODES // cols)
-    totals, evals = [], 0
     edges = axes[0]
-    for a, b, n in zip(edges, edges[1:], panels[0]):
-        x, w = _panel_rule(a, b, n)
+    spans = list(zip(edges, edges[1:]))
+    rules = [_panel_rule(a, b, n) for (a, b), n in zip(spans, panels[0])]
+    nodes = sum(x.size for x, _ in rules)
+    if len(rules) > 1 and nodes <= rows:
+        spans, rules = [(edges[0], edges[-1])], [tuple(map(np.concatenate, zip(*rules)))]
+    totals = []
+    for (a, b), (x, w) in zip(spans, rules):
         for i in range(0, x.size, rows):
             x_blk = x[i : i + rows]
             if y is None:
@@ -147,8 +166,7 @@ def _grid_sum(f, axes, panels):
                 if y is not None:
                     values = np.einsum("ij,j->i", values, wy)
                 totals[k] += float(np.einsum("i,i->", w[i : i + rows], values))
-        evals += x.size * cols
-    return totals, evals
+    return totals, nodes * cols
 
 
 class GridShare:
@@ -264,14 +282,16 @@ def integrate_2d(
     Interior edges of the first axis split it into pieces, as integrate_1d's
     edges do. f must be vectorized and pointwise: it is called on row blocks
     of the node grid, with a column x_blk[:, None] of consecutive x nodes
-    and the row y[None, :] of all y nodes, and must return the
-    (len(x_blk), len(y)) array of values, each depending only on its own
-    node. f may reuse internal buffers from call to call, but each call
-    must return a fresh array, since a caller may keep an earlier call's
-    result. initial_panels is a performance hint (starting panel count per
-    piece of the first axis, then the second; whole or inf, 2 by default);
-    it never changes what converged means, only how fast the rule gets
-    there. Identical inputs produce bit-identical results.
+    (of one piece, or of all if the grid fits in one block) and the row
+    y[None, :] of all y nodes, and must return the (len(x_blk), len(y))
+    array of values, each depending only on its own node. f must not write
+    into the nodes, which may be read-only, and may reuse internal buffers
+    from call to call, but each call must return a fresh array, since a
+    caller may keep an earlier call's result. initial_panels is a
+    performance hint (starting panel count per piece of the first axis,
+    then the second; whole or inf, 2 by default); it never changes what
+    converged means, only how fast the rule gets there. Identical inputs
+    produce bit-identical results.
 
     An f marked by GridShare.component takes its grid sums from the share,
     which may have evaluated them already for another component; evals still
@@ -301,8 +321,9 @@ def integrate_1d(
     performance hint like integrate_2d's. It is integrate_2d's loop on one
     axis: each round doubles every piece's panels, and the error estimate
     is the change of the whole sum. f must be vectorized and pointwise: it
-    is called on runs of consecutive nodes x (a 1-D array) and returns the
-    array of values of x's shape. Identical inputs produce bit-identical
+    is called on runs of consecutive nodes x (a 1-D array, of one piece or
+    of all if they fit in one block) and returns the array of values of x's
+    shape, without writing into x. Identical inputs produce bit-identical
     results.
     """
     edges = _check_edges(edges)

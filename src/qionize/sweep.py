@@ -164,9 +164,13 @@ def run_sweep(
     count = _worker_count(workers)
     if count <= 1 or len(tasks) <= 1:
         return [_evaluate_point(task) for task in tasks]
-    # one task at a time, in grid order
+    # in grid order, about eight chunks per worker: one pickle round-trip
+    # per chunk, and chunks short enough to balance the workers, as a
+    # point's cost varies 20-fold (most of it at the longest crystals, which
+    # come last in grid order)
+    chunk = -(-len(tasks) // (8 * count))
     with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(_evaluate_point, tasks))
+        return list(pool.map(_evaluate_point, tasks, chunksize=chunk))
 
 
 def _log_grid(lo: float, hi: float, count: int) -> Tuple[float, ...]:

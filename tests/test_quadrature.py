@@ -228,15 +228,16 @@ def test_determinism_same_spec_same_bits():
 
 def _fsum_reference(f, axes, panels):
     # exact sum of the rounded products of weights and values over the whole
-    # grid: one axis of pieces, or two one-piece axes
+    # grid, each axis the nodes and weights of its pieces joined
     rules = [
-        [quadrature._panel_rule(a, b, n) for a, b, n in zip(edges, edges[1:], counts)]
+        [np.concatenate(parts) for parts in zip(*(
+            quadrature._panel_rule(a, b, n) for a, b, n in zip(edges, edges[1:], counts)))]
         for edges, counts in zip(axes, panels)
     ]
     if len(rules) == 1:
-        return math.fsum(t for x, w in rules[0] for t in (w * f(x)).tolist())
-    (x, wx), = rules[0]
-    (y, wy), = rules[1]
+        (x, w), = rules
+        return math.fsum((w * f(x)).tolist())
+    (x, wx), (y, wy) = rules
     terms = wx[:, None] * wy[None, :] * f(x[:, None], y[None, :])
     return math.fsum(terms.ravel().tolist())
 
@@ -259,8 +260,9 @@ def _smooth_1d(x):
             _smooth_2d, [(-1.0, 2.0), (-0.5, 1.5)], [[1], [quadrature.BLOCK_NODES // 16 + 1]], None,
             id="1-1025",
         ),
-        # two pieces, the first 17600 nodes long: blocks stop at its edge,
-        # and the in-order sum of piece blocks is pinned bit for bit
+        # two pieces, the first 17600 nodes long, larger than one block:
+        # blocks stop at its edge, and the in-order sum of piece blocks is
+        # pinned bit for bit
         pytest.param(
             _smooth_1d, [(-1.0, 0.25, 2.0)], [[1100, 3]], 0.21612022581486495, id="1100-3-pieces"
         ),
@@ -277,6 +279,43 @@ def test_grid_sum_blocks_match_fsum(f, axes, panels, pinned_value):
     assert evals == math.prod(sizes)
     if pinned_value is not None:
         assert value == pinned_value
+
+
+@pytest.mark.parametrize(
+    "f, axes, panels",
+    [
+        # three pieces of 1024 nodes in all, one block
+        pytest.param(_smooth_1d, [(-1.0, 0.25, 1.0, 2.0)], [[20, 3, 41]], id="1d-3-pieces"),
+        # two pieces of 320 nodes times 48 columns: 15360 nodes, one block
+        pytest.param(_smooth_2d, [(-1.0, 0.5, 2.0), (-0.5, 1.5)], [[7, 13], [3]], id="2d-2-pieces"),
+    ],
+)
+def test_grid_under_one_block_is_one_integrand_call(f, axes, panels):
+    calls = []
+
+    def recording(*nodes):
+        calls.append(np.broadcast_shapes(*(np.shape(x) for x in nodes)))
+        return (f(*nodes),)
+
+    sizes = [16 * sum(counts) for counts in panels]
+    assert math.prod(sizes) <= quadrature.BLOCK_NODES
+    (value,), evals = quadrature._grid_sum(recording, axes, panels)
+    assert calls == [tuple(sizes)]
+    assert evals == math.prod(sizes)
+    reference = _fsum_reference(f, axes, panels)
+    assert abs(value - reference) <= 1e-13 * abs(reference)
+
+
+def test_panel_rules_are_read_only():
+    # a rule of one block or less is kept and comes back as the same arrays,
+    # a larger one is built anew; neither can be written into
+    small = quadrature._panel_rule(-1.0, 2.0, 3)
+    assert quadrature._panel_rule(-1.0, 2.0, 3)[0] is small[0]
+    large = quadrature._panel_rule(-1.0, 2.0, quadrature.BLOCK_NODES // 16 + 1)
+    assert quadrature._panel_rule(-1.0, 2.0, quadrature.BLOCK_NODES // 16 + 1)[0] is not large[0]
+    for array in (*small, *large):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_wrong_shape_integrand_raises_domain_error_naming_shape():

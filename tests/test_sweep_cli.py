@@ -98,14 +98,20 @@ def test_run_sweep_matches_direct_evaluation(tiny_records):
         assert record.channel == "dipole"
 
 
-def test_run_sweep_parallel_equals_serial(tiny_records):
+def test_run_sweep_parallel_equals_serial(tiny_records, monkeypatch):
     plan, serial = tiny_records
     assert run_sweep(plan, workers=2) == serial
+    # 18 tasks on 2 workers travel in chunks of 2
+    monkeypatch.delenv("QIONIZE_THREADS", raising=False)
+    plan = SweepPlan(axis1=SweepAxis("crystal_length_um", (0.5, 1.0, 2.0)),
+                     axis2=SweepAxis("pump_waist_um", (4.0, 5.0, 7.0, 10.0, 14.0, 20.0)))
+    assert run_sweep(plan, workers=2) == run_sweep(plan, workers=1)
 
 
 def test_run_sweep_dispatches_in_grid_order(monkeypatch, tmp_path):
-    # workers get the tasks in grid order, one at a time, and the records
-    # come back in grid order, byte for byte as a serial run
+    # workers get the tasks in grid order, in chunks of ceil(tasks / (8
+    # workers)), and the records come back in grid order, byte for byte as
+    # a serial run
     dispatched = []
 
     class RecordingPool:
@@ -122,22 +128,24 @@ def test_run_sweep_dispatches_in_grid_order(monkeypatch, tmp_path):
             dispatched.append(([cfg.crystal_length_um for cfg, _ in tasks], chunksize))
             return map(fn, tasks)
 
-    plan = SweepPlan(
-        axis1=SweepAxis("crystal_length_um", (0.5, 3.0, 6.0)),
-        axis2=SweepAxis("pump_waist_um", (5.0, 10.0)),
-    )
-    serial = run_sweep(plan, workers=1)
     monkeypatch.delenv("QIONIZE_THREADS", raising=False)
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
-    records = run_sweep(plan, workers=2)
-    assert dispatched == [([0.5, 0.5, 3.0, 3.0, 6.0, 6.0], 1)]
-    assert records == serial
-    for name, recs in (("serial", serial), ("parallel", records)):
-        write_csv(recs, str(tmp_path / f"{name}.csv"))
-        write_jsonl(recs, str(tmp_path / f"{name}.jsonl"))
-    for suffix in ("csv", "jsonl"):
-        serial_bytes = (tmp_path / f"serial.{suffix}").read_bytes()
-        assert (tmp_path / f"parallel.{suffix}").read_bytes() == serial_bytes
+    for waists, chunksize in (((5.0, 10.0), 1), ((4.0, 5.0, 7.0, 10.0, 14.0, 20.0), 2)):
+        plan = SweepPlan(
+            axis1=SweepAxis("crystal_length_um", (0.5, 3.0, 6.0)),
+            axis2=SweepAxis("pump_waist_um", waists),
+        )
+        serial = run_sweep(plan, workers=1)
+        dispatched.clear()
+        records = run_sweep(plan, workers=2)
+        assert dispatched == [([L for L in (0.5, 3.0, 6.0) for _ in waists], chunksize)]
+        assert records == serial
+        for name, recs in (("serial", serial), ("parallel", records)):
+            write_csv(recs, str(tmp_path / f"{name}.csv"))
+            write_jsonl(recs, str(tmp_path / f"{name}.jsonl"))
+        for suffix in ("csv", "jsonl"):
+            serial_bytes = (tmp_path / f"serial.{suffix}").read_bytes()
+            assert (tmp_path / f"parallel.{suffix}").read_bytes() == serial_bytes
 
 
 def test_worker_count_env_cap(monkeypatch):
