@@ -291,25 +291,24 @@ def eval_reduced(point, cfg: ExperimentConfig, kind: AmplitudeKind) -> ArrayLike
         mismatch = None if kind is AmplitudeKind.SEPARABLE else (
             _paraxial_mismatch(kix_arr - ksx_arr, k0) if cfg.regime is Regime.PARAXIAL
             else _exact_mismatch(u, kix_arr, ksx_arr, k0, np.empty(u.shape), value))
-        value = _reduced_amplitude(u, mismatch, cfg, kind, (value, value))
+        value = _reduced_amplitude(_pump_envelope(u, cfg, value), mismatch, cfg, kind, value)
     return _maybe_scalar(value, kix, ksx)
 
 
-def _reduced_amplitude(u, mismatch, cfg: ExperimentConfig, kind: AmplitudeKind, work):
-    """Unchecked reduced amplitude at pump sum u and phase mismatch delta_kz.
+def _pump_envelope(u, cfg: ExperimentConfig, out):
+    """exp(-0.5 (omega_p u)^2) at pump sum u, one in-place step at a time in out of u's shape."""
+    np.square(np.multiply(u, cfg.pump_waist_um, out=out), out=out)
+    return np.exp(np.multiply(out, -0.5, out=out), out=out)
 
-    Each factor is computed on the shape of what it reads: the pump
-    envelope on u's, sinc(L mismatch / 2) on mismatch's (a column when it is
-    one; None for the separable kind, which does not read it). work
-    (required) is two float arrays, neither an input, one array where the
-    shapes agree: work[0] of u's shape receives the envelope, the separable
-    value, and work[1] of the broadcast shape the entangled value. The
-    value is returned.
+
+def _reduced_amplitude(pump, mismatch, cfg: ExperimentConfig, kind: AmplitudeKind, out):
+    """Unchecked reduced amplitude from its pump envelope and phase mismatch delta_kz.
+
+    The separable value is the envelope pump itself, returned as is. The
+    entangled value is pump times sinc(L mismatch / 2), the sinc computed on
+    mismatch's shape (a column when it is one), written into out, a float
+    array of the broadcast shape other than mismatch, and returned.
     """
-    pump, value = work
-    # exp(-0.5 * (omega_p u)^2), one in-place step at a time
-    np.square(np.multiply(u, cfg.pump_waist_um, out=pump), out=pump)
-    np.exp(np.multiply(pump, -0.5, out=pump), out=pump)
     if kind is AmplitudeKind.SEPARABLE:
         return pump
-    return np.multiply(pump, sinc(mismatch * (0.5 * cfg.crystal_length_um)), out=value)
+    return np.multiply(pump, sinc(mismatch * (0.5 * cfg.crystal_length_um)), out=out)

@@ -20,7 +20,13 @@ from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .amplitude import AmplitudeKind, _reduced_amplitude, check_narrowband_guard, sinc
+from .amplitude import (
+    AmplitudeKind,
+    _pump_envelope,
+    _reduced_amplitude,
+    check_narrowband_guard,
+    sinc,
+)
 from .quadrature import (
     BLOCK_NODES,
     ConvergenceError,
@@ -411,16 +417,17 @@ def _phase_edges(cfg: ExperimentConfig) -> Tuple[float, ...]:
 
 def _reduced_terms(
     cfg: ExperimentConfig,
-    kind: AmplitudeKind,
-    terms: Sequence[Tuple[int, bool, bool]],
+    terms: Sequence[Tuple[AmplitudeKind, int, bool, bool]],
     even_kernel: Optional[Callable],
 ) -> Callable:
     """Integrand over phase-matching coordinates (sigma, tau), one array per term.
 
-    Each term (power p, obliquity, weighted) is F^p, times the exact
-    obliquity w if set, times even_kernel if weighted, times the Jacobian:
-    the integrands of the INTEGRALS of one kind, each formed in the order
-    of the one-term case from one amplitude, Jacobian, w and kernel per call.
+    Each term (kind, power p, obliquity, weighted) is F^p of its kind, times
+    the exact obliquity w if set, times even_kernel if weighted, times the
+    Jacobian: the integrands of INTEGRALS of either kind, each formed in the
+    order of the one-term case from one amplitude, Jacobian, w and kernel
+    per call. The separable F is the pump envelope, the entangled one the
+    envelope times the sinc.
 
     sigma = sign(v) sqrt(delta_kz) and u = h(sigma) tau, with u = kix + ksx,
     v = kix - ksx and the chord h of _chord, is the map of README
@@ -436,8 +443,9 @@ def _reduced_terms(
     """
     k0 = cfg.k0
     paraxial = cfg.regime is Regime.PARAXIAL
-    oblique = any(obliquity for _, obliquity, _ in terms)
-    weighted = any(weight for _, _, weight in terms)
+    entangled = any(kind is AmplitudeKind.ENTANGLED for kind, _, _, _ in terms)
+    oblique = any(obliquity for _, _, obliquity, _ in terms)
+    weighted = any(weight for _, _, _, weight in terms)
     umax, root_k0, four_k0_sq, chord = _umax(cfg), math.sqrt(k0), 4.0 * k0 * k0, _chord(cfg)
 
     def f(sigma, tau):
@@ -450,7 +458,9 @@ def _reduced_terms(
                                            *_COLUMN_ROWS)
         t, r, q, a, b, jac, value, term, kix, ksx = _WORKSPACE.rows(shape, *_BLOCK_ROWS)
         np.multiply(h_u, tau, out=u)
-        value = _reduced_amplitude(u, square, cfg, kind, (pump, value))
+        _pump_envelope(u, cfg, pump)
+        if entangled:
+            value = _reduced_amplitude(pump, square, cfg, AmplitudeKind.ENTANGLED, value)
         if paraxial:
             v = (2.0 * root_k0) * sigma
             np.multiply(h, 4.0 * root_k0, out=jac)
@@ -472,10 +482,10 @@ def _reduced_terms(
             np.multiply(np.subtract(u, v, out=ksx), 0.5, out=ksx)
         kernel = even_kernel(kix, ksx) if weighted else None
         parts = []
-        for power, obliquity, weight in terms:
-            part = value
+        for kind, power, obliquity, weight in terms:
+            part = value if kind is AmplitudeKind.ENTANGLED else pump
             if power == 2:
-                part = np.multiply(value, value, out=term)
+                part = np.multiply(part, part, out=term)
             if obliquity:
                 part = np.multiply(part, w, out=term)
             if weight:
@@ -491,13 +501,15 @@ def _start_panels(cfg: ExperimentConfig, edges: Sequence[float], kind: Amplitude
                   kernel: Optional[TabulatedKernel]) -> Tuple[float, ...]:
     # one start per sigma piece [a, b], then tau's 2 (which the paraxial 1D
     # route drops). The phase L sigma^2 / 2 turns at the rate L b at the top
-    # b: an entangled piece starts at about 40 radians per panel, a separable
-    # one at 2. v crosses (n - 1) / 2 cells of a kernel table, each a kink,
-    # over sigma's whole range: a kernel ratio starts at one panel per cell
-    # or more. Whole Python floats, inf past overflow, priced against max_evals.
+    # b: an entangled piece starts at about 40 radians per panel, and at a
+    # separable one's 2 where its phase fits in one such panel. v crosses
+    # (n - 1) / 2 cells of a kernel table, each a kink, over sigma's whole
+    # range: an integral the kernel weights starts at one panel per cell or
+    # more. Whole Python floats, inf past overflow, priced against max_evals.
     length, pieces = float(cfg.crystal_length_um), list(zip(edges[:-1], edges[1:]))
-    counts = [2.0 + float(np.ceil(length * b * (b - a) / 40.0))
-              if kind is AmplitudeKind.ENTANGLED else 2.0 for a, b in pieces]
+    turns = [length * b * (b - a) / 40.0 if kind is AmplitudeKind.ENTANGLED else 0.0
+             for a, b in pieces]
+    counts = [2.0 + float(np.ceil(n)) if n > 1.0 else 2.0 for n in turns]
     if kernel is not None:
         cells = 0.5 * (max(kernel.values.shape) - 1) / edges[-1]
         counts = [max(n, float(np.ceil(cells * (b - a)))) for n, (a, b) in zip(counts, pieces)]
@@ -607,49 +619,58 @@ def _reduced_integrals(
       paraxial obliquity times I2, and I1_ent and I2_ent by integrate_1d
       over sigma on the pieces of _phase_edges;
     - otherwise integrate_2d over sigma on those pieces and tau in [0, 1].
-    Each quadrature integral starts from the panels of _start_panels, gets
-    _with_rounding's units and is a component of its group's GridShare. A
-    group is one kind on one number of axes, run in the order of its first
-    name, and its vector integrand (_reduced_terms in 2D, _paraxial_terms in
-    1D) returns one term per integral: each grid that any of them refines
-    is evaluated once, while each keeps its own schedule, evals and result.
-    So for names in INTEGRALS order the exact regime makes its six calls in
-    that order. integrate_1d and integrate_2d are the module globals, looked
-    up at call time. grid_nodes, if given, receives for each kind's value
-    the integrand nodes its shares evaluated.
+    Each quadrature integral starts from the panels of _start_panels, with
+    the kernel only if it weights the integral, gets _with_rounding's units
+    and is a component of a GridShare. A share holds the integrals
+    of one route whose starts have the same tau count and the same count on
+    the first sigma piece, of either kind, and its vector integrand
+    (_reduced_terms in 2D, _paraxial_terms in 1D) returns one term per
+    integral: each piece of a grid that any of them refines is evaluated
+    once, while each keeps its own schedule, evals and result. The
+    integrals run in the order of names, so for names in INTEGRALS order
+    the exact regime makes its six calls in that order. integrate_1d and
+    integrate_2d are the module globals, looked up at call time.
+    grid_nodes, if given, receives the integrand nodes the shares
+    evaluated: under a kind's value those of the shares that serve that
+    kind alone, under "shared" those of the shares that serve both.
     """
     check_narrowband_guard(cfg)
     paraxial = cfg.regime is Regime.PARAXIAL
-    # the quadrature integrals of each group (kind, axes), name -> term
-    # (power, obliquity, weighted); paraxial I2w_ent is twice I2_ent
-    groups: Dict[Tuple[AmplitudeKind, int], Dict[str, Tuple[int, bool, bool]]] = {}
+    edges = _phase_edges(cfg)
+    # the quadrature integrals, name -> (axes, start panels, term), a term
+    # (kind, power, obliquity, weighted); paraxial I2w_ent is twice I2_ent
+    routes: Dict[str, Tuple[int, Tuple[float, ...], Tuple[AmplitudeKind, int, bool, bool]]] = {}
     for name in names:
         kind, power, obliquity = INTEGRALS[name]
         weighted = kernel is not None and power == 1
+        start = _start_panels(cfg, edges, kind, kernel if weighted else None)
         if not paraxial or weighted:
-            groups.setdefault((kind, 2), {})[name] = power, obliquity, weighted
+            routes[name] = 2, start, (kind, power, obliquity, weighted)
         elif kind is AmplitudeKind.ENTANGLED:
-            groups.setdefault((kind, 1), {})[name.replace("I2w", "I2")] = power, False, False
+            routes[name.replace("I2w", "I2")] = 1, start, (kind, power, False, False)
+    groups: Dict[Tuple[int, float, float], List[str]] = {}
+    for name, (axes, start, _) in routes.items():
+        groups.setdefault((axes, start[0], start[-1]), []).append(name)
     even_kernel = _even_kernel(kernel, cfg.k0) if kernel is not None else None
-    edges = _phase_edges(cfg)
+    shares, components = [], {}
+    for (axes, _, _), members in groups.items():
+        terms = [routes[name][2] for name in members]
+        share = GridShare(_reduced_terms(cfg, terms, even_kernel) if axes == 2
+                          else _paraxial_terms(cfg, [power for _, power, _, _ in terms]))
+        shares.append((share, {kind.value for kind, _, _, _ in terms}))
+        components.update((name, share.component(i)) for i, name in enumerate(members))
     # the separable closed form of each power: a result, or a rounding unit
     separable = {power: _separable_closed_form(cfg, power)
                  for power in {INTEGRALS[name][1] for name in names}}
     computed: Dict[str, IntegralResult] = {}
-    nodes = dict.fromkeys(AmplitudeKind, 0)
-    for (kind, axes), terms in groups.items():
-        share = GridShare(_reduced_terms(cfg, kind, list(terms.values()), even_kernel) if axes == 2
-                          else _paraxial_terms(cfg, [power for power, _, _ in terms.values()]))
-        # in 1D tau is in closed form: the sigma counts alone, never a kernel's
-        panels = _start_panels(cfg, edges, kind, kernel if axes == 2 else None)
-        for index, (name, (power, obliquity, weighted)) in enumerate(terms.items()):
-            f = share.component(index)
-            result = (integrate_2d(f, (edges, (0.0, 1.0)), cfg.quadrature, panels) if axes == 2
-                      else integrate_1d(f, edges, cfg.quadrature, panels[:-1]))
-            # the obliquity is at most 2, the averaged kernel at most the table's largest |K|
-            bound = (1.0 + obliquity) * (float(np.abs(kernel.values).max()) if weighted else 1.0)
-            computed[name] = _with_rounding(cfg, result, separable[power].value * bound)
-        nodes[kind] += share.nodes
+    for name, (axes, start, (_, power, obliquity, weighted)) in routes.items():
+        f = components[name]
+        # in 1D tau is in closed form: the sigma counts alone
+        result = (integrate_2d(f, (edges, (0.0, 1.0)), cfg.quadrature, start) if axes == 2
+                  else integrate_1d(f, edges, cfg.quadrature, start[:-1]))
+        # the obliquity is at most 2, the averaged kernel at most the table's largest |K|
+        bound = (1.0 + obliquity) * (float(np.abs(kernel.values).max()) if weighted else 1.0)
+        computed[name] = _with_rounding(cfg, result, separable[power].value * bound)
     for name in names:
         if name not in computed:
             # a paraxial I2w is twice its norm I2, each separable norm a closed form
@@ -658,7 +679,9 @@ def _reduced_integrals(
                 computed[norm] = separable[INTEGRALS[norm][1]]
             computed[name] = computed[norm] if norm == name else _paraxial_i2w(computed[norm])
     if grid_nodes is not None:
-        grid_nodes.update({kind.value: count for kind, count in nodes.items()})
+        grid_nodes.update(dict.fromkeys(("entangled", "separable", "shared"), 0))
+        for share, kinds in shares:
+            grid_nodes[kinds.pop() if len(kinds) == 1 else "shared"] += share.nodes
     return {name: computed[name] for name in names}
 
 
@@ -793,9 +816,10 @@ def enhancement_ratio(
     tabulated kernel, which weights the coherent sums and labels the result
     model_kernel. R is ratio_from_integrals of the six INTEGRALS.
     diagnostics holds each IntegralResult by name, the kernel label, the
-    conventions and grid_nodes: for each kind's value, the integrand nodes
-    actually evaluated, which grids shared by its integrals may keep below
-    the sum of their evals.
+    conventions and grid_nodes: the integrand nodes actually evaluated,
+    under a kind's value by the grid shares of that kind's integrals alone
+    and under "shared" by those that hold integrals of both kinds. Shared
+    grids may keep the sum below that of the evals.
     strict=True raises on any non-converged integral;
     strict=False returns the assembled result with converged=False so sweep
     rows can record failures without aborting.

@@ -14,15 +14,18 @@ max_evals is the one bound on its work: it never starts a refinement round
 the budget cannot pay for. evals and max_evals count the nodes of the
 integral's own rule. The integrals of the components of one vector
 integrand f can share its grids: GridShare(f).component(i) is component i
-as an integrand, and each distinct grid is evaluated once for all of them,
-so fewer nodes may be evaluated than their evals add up to, while every
-integral keeps its own schedule, evals and result. The integrand is called
-on blocks of about BLOCK_NODES nodes or fewer, a run of consecutive nodes
-of the first axis times the whole second axis, and each block is reduced
-before the next is evaluated: a grid that fits in one block is one call on
-the joined nodes of all its pieces, a larger one is walked piece by piece
-and never built whole. Integrands must therefore be pointwise (a node's
-value depends on its own coordinates only) and broadcast: in 2D
+as an integrand. The integrand is called on blocks of about BLOCK_NODES
+nodes or fewer, a run of consecutive nodes of the first axis times the
+whole second axis, and each block is reduced before the next is
+evaluated: a grid that fits in one block is one call on the joined nodes
+of all its pieces, a larger one is walked piece by piece and never built
+whole. A share evaluates each such piece, or joined grid, once for all
+its components and keeps its block sums, so grids that have a piece in
+common evaluate it once and fewer nodes may be evaluated than the evals
+add up to, while every integral keeps its own schedule, evals and
+result: a grid's sum is its block sums added in walk order, bit for bit
+the sum of the grid walked alone. Integrands must therefore be pointwise
+(a node's value depends on its own coordinates only) and broadcast: in 2D
 f(x_blk[:, None], y[None, :]) -> (len(x_blk), len(y)) array, in 1D
 f(x_blk) -> array of x_blk's shape. They must not write into the nodes,
 which may be the read-only arrays of a kept panel rule.
@@ -98,7 +101,7 @@ def _check_edges(edges) -> Tuple[float, ...]:
     except (TypeError, ValueError):
         raise DomainError(f"edges must be a sequence of numbers, got {edges!r}") from None
     if len(points) < 2 or not (
-        np.isfinite(points).all() and all(a < b for a, b in zip(points, points[1:]))
+        all(map(math.isfinite, points)) and all(a < b for a, b in zip(points, points[1:]))
     ):
         raise DomainError(f"edges must be at least two finite, increasing points, got {edges!r}")
     return points
@@ -125,48 +128,55 @@ def _panel_rule(a: float, b: float, n_panels: int):
     return (_kept_rule if 16 * n_panels <= BLOCK_NODES else _new_rule)(a, b, n_panels)
 
 
-def _grid_sum(f, axes, panels):
-    # the product rule's sums over the grid, one per array of the tuple f
-    # returns, and its node count. Blocks are runs of consecutive nodes of
-    # the first axis, each run times the whole second axis (integrate_2d's,
-    # one piece) about BLOCK_NODES nodes, so the integrand's temporaries stay
-    # in cache: the joined pieces if the grid fits in one block, else runs
-    # within one piece at a time. The einsum reductions stay single-threaded
-    # (no BLAS) and the partial sums add in fixed order, so each sum depends
-    # on nothing but the panels
-    y = wy = None
+def _grid_runs(axes, panels):
+    # the product rule's walk over the grid: the runs of the first axis it
+    # is evaluated in, each (key, edges, counts), and the second axis's rule
+    # with the rows of a block. A run is the joined pieces if the whole grid
+    # fits in one block, else one piece; a run's key names its nodes and
+    # blocks, so runs that two grids have in common have one key
+    y = wy = tau = None
     if len(axes) == 2:
         (y0, y1), (ny,) = axes[1], panels[1]
         y, wy = _panel_rule(y0, y1, ny)
-    cols = 1 if y is None else y.size
-    rows = max(1, BLOCK_NODES // cols)
-    edges = axes[0]
-    spans = list(zip(edges, edges[1:]))
-    rules = [_panel_rule(a, b, n) for (a, b), n in zip(spans, panels[0])]
-    nodes = sum(x.size for x, _ in rules)
-    if len(rules) > 1 and nodes <= rows:
-        spans, rules = [(edges[0], edges[-1])], [tuple(map(np.concatenate, zip(*rules)))]
-    totals = []
-    for (a, b), (x, w) in zip(spans, rules):
-        for i in range(0, x.size, rows):
-            x_blk = x[i : i + rows]
-            if y is None:
-                shape, parts = x_blk.shape, f(x_blk)
-            else:
-                shape, parts = (x_blk.size, y.size), f(x_blk[:, None], y[None, :])
-            if not totals:
-                totals = [0.0] * len(parts)
-            for k, values in enumerate(parts):
-                values = np.asarray(values, dtype=float)
-                if values.shape != shape:
-                    raise DomainError(
-                        f"integrand must return shape {shape} on nodes {i}:{i + x_blk.size} "
-                        f"of [{a!r}, {b!r}], got {values.shape}"
-                    )
-                if y is not None:
-                    values = np.einsum("ij,j->i", values, wy)
-                totals[k] += float(np.einsum("i,i->", w[i : i + rows], values))
-    return totals, nodes * cols
+        tau = y0, y1, ny
+    rows = max(1, BLOCK_NODES // (1 if y is None else y.size))
+    edges, counts = tuple(axes[0]), tuple(panels[0])
+    if len(counts) > 1 and 16 * sum(counts) <= rows:
+        runs = [(edges, counts)]
+    else:
+        runs = [((a, b), (n,)) for a, b, n in zip(edges, edges[1:], counts)]
+    return [((run, tau), *run) for run in runs], y, wy, rows
+
+
+def _run_sums(f, edges, counts, y, wy, rows):
+    # the block sums of one run in walk order, one list per block holding a
+    # sum per array of the tuple f returns, and the run's node count. Blocks
+    # are consecutive nodes of the first axis, each times the whole second
+    # axis, about BLOCK_NODES nodes, so the integrand's temporaries stay in
+    # cache. The einsum reductions stay single-threaded (no BLAS), so each
+    # sum depends on nothing but the block's nodes
+    rules = [_panel_rule(a, b, n) for a, b, n in zip(edges, edges[1:], counts)]
+    x, w = rules[0] if len(rules) == 1 else map(np.concatenate, zip(*rules))
+    blocks = []
+    for i in range(0, x.size, rows):
+        x_blk = x[i : i + rows]
+        if y is None:
+            shape, parts = x_blk.shape, f(x_blk)
+        else:
+            shape, parts = (x_blk.size, y.size), f(x_blk[:, None], y[None, :])
+        sums = []
+        for values in parts:
+            values = np.asarray(values, dtype=float)
+            if values.shape != shape:
+                raise DomainError(
+                    f"integrand must return shape {shape} on nodes {i}:{i + x_blk.size} "
+                    f"of [{edges[0]!r}, {edges[-1]!r}], got {values.shape}"
+                )
+            if y is not None:
+                values = np.einsum("ij,j->i", values, wy)
+            sums.append(float(np.einsum("i,i->", w[i : i + rows], values)))
+        blocks.append(sums)
+    return blocks, x.size * (1 if y is None else y.size)
 
 
 class GridShare:
@@ -174,12 +184,15 @@ class GridShare:
 
     f is called like an integrand but returns a tuple of arrays, component i
     for the i-th integral, each a fresh array or a buffer valid until f's
-    next call. Each distinct grid (axes and panel counts) is evaluated once,
-    for every component, and its sums are kept; nodes counts the nodes
+    next call. Each run of a grid's walk (a piece of the first axis, or all
+    of them joined when the grid fits in one block) is evaluated once, for
+    every component, and its block sums are kept, so grids that have a
+    piece in common evaluate it once; a grid's sum is its block sums added
+    in walk order, as if the grid were walked alone. nodes counts the nodes
     evaluated. component(i) is the i-th component as a marked integrand:
     integrate_2d and integrate_1d take its grid sums from here, while it
     keeps its own schedule, evals and result. A wrapper hides the mark; the
-    component then evaluates all of f on its own grids, and counts them.
+    component then evaluates f on its own grids, and counts them.
     """
 
     def __init__(self, f: Callable) -> None:
@@ -197,12 +210,17 @@ class GridShare:
         return marked
 
     def grid_sum(self, index: int, axes, panels) -> Tuple[float, int]:
-        key = (tuple(axes), tuple(tuple(counts) for counts in panels))
-        if key not in self._sums:
-            self._sums[key] = _grid_sum(self._f, axes, panels)
-            self.nodes += self._sums[key][1]
-        sums, evals = self._sums[key]
-        return sums[index], evals
+        runs, y, wy, rows = _grid_runs(axes, panels)
+        total, evals = 0.0, 0
+        for key, edges, counts in runs:
+            if key not in self._sums:
+                self._sums[key] = _run_sums(self._f, edges, counts, y, wy, rows)
+                self.nodes += self._sums[key][1]
+            blocks, nodes = self._sums[key]
+            for sums in blocks:
+                total += sums[index]
+            evals += nodes
+        return total, evals
 
 
 def _refine(f, axes, spec: Optional[QuadratureSpec], initial_panels) -> IntegralResult:

@@ -56,7 +56,7 @@ INTEGRAL_NAMES = ("I1_ent", "I2_ent", "I2w_ent", "I1_sep", "I2_sep", "I2w_sep")
 def _one_term(cfg, kind, power, obliquity, even_kernel):
     """The reduced integrand of one INTEGRALS entry: _reduced_terms with that one term."""
     terms = observables._reduced_terms(
-        cfg, kind, ((power, obliquity, even_kernel is not None),), even_kernel
+        cfg, ((kind, power, obliquity, even_kernel is not None),), even_kernel
     )
     return lambda sigma, tau: terms(sigma, tau)[0]
 
@@ -325,7 +325,9 @@ def test_paraxial_eval_schedule_pin():
 def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
     # one integrate_2d call per integral, in INTEGRALS order, each result
     # filed under its name with its estimate's rounding units added; the
-    # benchmark's trace attributes calls this way
+    # benchmark's trace attributes calls this way. A kernel ratio's shares
+    # mix kinds (the weighted I1 pair, then the rest), and its calls keep
+    # that order
     cfg = ExperimentConfig(pump_waist_um=10.0, crystal_length_um=1.0)
     s = np.linspace(0.1, 6.1, 5)[:, None]
     t = np.linspace(0.1, 0.9, 4)[None, :]
@@ -337,16 +339,20 @@ def test_enhancement_ratio_integrates_in_integrals_order(monkeypatch):
         return result
 
     monkeypatch.setattr(observables, "integrate_2d", recording_integrate_2d)
-    res = enhancement_ratio(cfg)
     assert tuple(INTEGRALS) == INTEGRAL_NAMES
-    assert len(calls) == len(INTEGRALS)
-    for (values, result), (name, spec) in zip(calls, INTEGRALS.items()):
-        filed = res.diagnostics[name]
-        assert (filed.value, filed.evals, filed.method) == (result.value, result.evals,
-                                                            result.method), name
-        assert result.error_estimate < filed.error_estimate, name
-        expected = _one_term(cfg, *spec, None)(s, t)
-        np.testing.assert_array_equal(values, expected, err_msg=name)
+    for channel in (DIPOLE, QUADRUPOLE.with_kernel(make_synthetic_kernel(Parity.EVEN))):
+        cfg_eff = cfg.replace(channel_energy_ev=channel.transition_energy_ev)
+        kernel = observables._even_kernel(channel.kernel, cfg_eff.k0) if channel.kernel else None
+        calls.clear()
+        res = enhancement_ratio(cfg, channel)
+        assert len(calls) == len(INTEGRALS), channel.name
+        for (values, result), (name, spec) in zip(calls, INTEGRALS.items()):
+            filed = res.diagnostics[name]
+            assert (filed.value, filed.evals, filed.method) == (result.value, result.evals,
+                                                                result.method), name
+            assert result.error_estimate < filed.error_estimate, name
+            expected = _one_term(cfg_eff, *spec, kernel if spec[1] == 1 else None)(s, t)
+            np.testing.assert_array_equal(values, expected, err_msg=f"{channel.name} {name}")
 
 
 # the benchmark's ratio panel: five (L, w) points in both regimes with the
@@ -394,12 +400,11 @@ def test_shared_grids_give_the_unshared_results_bit_for_bit(monkeypatch):
         assert (res.R.hex(), res.err_R.hex()) == (alone.R.hex(), alone.err_R.hex()), label
         for name in INTEGRALS:
             assert _bits(res.diagnostics[name]) == _bits(alone.diagnostics[name]), (label, name)
-        for kind in ("entangled", "separable"):
-            evals = sum(alone.diagnostics[name].evals for name, spec in INTEGRALS.items()
-                        if spec[0].value == kind)
-            # unshared, every node of every rule is evaluated
-            assert alone.diagnostics["grid_nodes"][kind] == evals, (label, kind)
-            assert res.diagnostics["grid_nodes"][kind] <= evals, (label, kind)
+        evals = sum(alone.diagnostics[name].evals for name in INTEGRALS)
+        # unshared, every node of every rule is evaluated; grid_nodes files
+        # a share's nodes under its one kind, or under "shared"
+        assert sum(alone.diagnostics["grid_nodes"].values()) == evals, label
+        assert sum(res.diagnostics["grid_nodes"].values()) <= evals, label
 
 
 def test_grid_nodes_count_the_shared_evaluations():
@@ -412,20 +417,45 @@ def test_grid_nodes_count_the_shared_evaluations():
                     if spec[0].value == kind)
         assert res.diagnostics["grid_nodes"][kind] < evals, kind
     pinned = enhancement_ratio(ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0))
-    assert pinned.diagnostics["grid_nodes"] == {"entangled": 117760, "separable": 10240}
+    assert pinned.diagnostics["grid_nodes"] == {"entangled": 117760, "separable": 10240,
+                                                "shared": 0}
     # paraxial I1_ent and I2_ent share one sigma grid: at (50, 3) um both
-    # take 1296 evals, at (15, 10) um 576 and 1344; the closed forms none
+    # take 1296 evals, at (15, 10) um 528 and 1232; the closed forms none
     paraxial = ExperimentConfig(pump_waist_um=3.0, crystal_length_um=50.0, regime=Regime.PARAXIAL)
     assert enhancement_ratio(paraxial).diagnostics["grid_nodes"] == {"entangled": 1296,
-                                                                     "separable": 0}
+                                                                     "separable": 0, "shared": 0}
     longer = paraxial.replace(pump_waist_um=10.0, crystal_length_um=15.0)
-    assert enhancement_ratio(longer).diagnostics["grid_nodes"]["entangled"] == 1344
+    assert enhancement_ratio(longer).diagnostics["grid_nodes"]["entangled"] == 1232
     # the larger schedule's grids contain the smaller's
     for cfg, channel in _ratio_panel_cases():
         if cfg.regime is Regime.PARAXIAL and channel.kernel is None:
             res = enhancement_ratio(cfg, channel)
             evals = (res.diagnostics["I1_ent"].evals, res.diagnostics["I2_ent"].evals)
             assert res.diagnostics["grid_nodes"]["entangled"] == max(evals), cfg
+
+
+def test_short_crystal_integrals_share_one_grid():
+    # at (1, 10) um each sigma piece's phase fits in one 40-radian panel,
+    # so the six exact integrals of both kinds start alike, share one
+    # GridShare and converge on the same grids: 10240 nodes in all
+    res = enhancement_ratio(ExperimentConfig(pump_waist_um=10.0, crystal_length_um=1.0))
+    assert tuple(res.diagnostics[name].evals for name in INTEGRALS) == (10240,) * 6
+    assert res.diagnostics["grid_nodes"] == {"entangled": 0, "separable": 0, "shared": 10240}
+
+
+@pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
+def test_a_kernel_changes_only_the_integrals_it_weights(regime):
+    # a kernel channel and a kernel-free one of the same transition energy:
+    # I2 and I2w of both kinds start from the same panels and come out
+    # bit for bit alike, evals included
+    quadrupole = QUADRUPOLE.with_kernel(make_synthetic_kernel(Parity.EVEN))
+    plain = Channel("plain", QUADRUPOLE.transition_energy_ev, 1, Parity.ODD)
+    for length, waist in ((1.0, 10.0), (50.0, 3.0)):
+        cfg = ExperimentConfig(crystal_length_um=length, pump_waist_um=waist, regime=regime)
+        weighted, unweighted = (enhancement_ratio(cfg, c).diagnostics for c in (quadrupole, plain))
+        for name in ("I2_ent", "I2w_ent", "I2_sep", "I2w_sep"):
+            assert _bits(weighted[name]) == _bits(unweighted[name]), (length, waist, name)
+        assert weighted["I1_ent"].evals > unweighted["I1_ent"].evals, (length, waist)
 
 
 def test_shared_grids_see_only_cache_sized_blocks(monkeypatch):
@@ -494,7 +524,7 @@ def test_ratio_refuses_subnormal_coherent_squares():
     # subnormal and f = I1^2 / I2w loses precision, so R is refused there;
     # below that R keeps its bits
     cfg = ExperimentConfig(crystal_length_um=1.0, pump_waist_um=1e150)
-    assert enhancement_ratio(cfg).R.hex() == "0x1.21f9b44203022p-1"
+    assert enhancement_ratio(cfg).R.hex() == "0x1.21f9b44203020p-1"
     for waist in (1e156, 1e163, 4e163):
         with pytest.raises(DomainError, match="pump_waist_um"):
             enhancement_ratio(cfg.replace(pump_waist_um=waist))
@@ -808,11 +838,11 @@ def test_kernel_weighted_block_call_allocates_little(kind, table):
     assert peak <= 2 * block_bytes, peak / block_bytes
 
 
-def _group_terms(regime):
-    # the terms of each kind in INTEGRALS order, the coherent one weighted
-    # by a kernel or not
-    terms = tuple((power, obliquity, False) for power, obliquity in _integrand_cases(regime))
-    return terms, ((1, False, True),) + terms[1:]
+def _group_terms(kind, regime):
+    # the terms of kind in INTEGRALS order, the coherent one weighted by a
+    # kernel or not
+    terms = tuple((kind, power, obliquity, False) for power, obliquity in _integrand_cases(regime))
+    return terms, ((kind, 1, False, True),) + terms[1:]
 
 
 @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.PARAXIAL])
@@ -822,10 +852,10 @@ def test_group_integrand_terms_equal_the_one_term_integrands(kind, regime):
     cfg = ExperimentConfig(crystal_length_um=100.0, pump_waist_um=100.0, regime=regime)
     s, t = _block_nodes(np.random.default_rng(12), cfg)
     even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
-    for terms in _group_terms(regime):
-        parts = observables._reduced_terms(cfg, kind, terms, even_kernel)(s, t)
+    for terms in _group_terms(kind, regime):
+        parts = observables._reduced_terms(cfg, terms, even_kernel)(s, t)
         assert len(parts) == len(terms)
-        for part, (power, obliquity, weighted) in zip(parts, terms):
+        for part, (_, power, obliquity, weighted) in zip(parts, terms):
             alone = _one_term(cfg, kind, power, obliquity, even_kernel if weighted else None)(s, t)
             assert np.array_equal(part.view(np.int64), alone.view(np.int64)), (power, obliquity)
 
@@ -839,8 +869,8 @@ def test_group_block_call_allocates_little(kind, regime):
     s, t = _block_nodes(np.random.default_rng(5), cfg)
     block_bytes = 8 * _BLOCK[0] * _BLOCK[1]
     even_kernel = observables._even_kernel(_KERNEL_TABLES["non-square"], cfg.k0)
-    for terms in _group_terms(regime):
-        f = observables._reduced_terms(cfg, kind, terms, even_kernel)
+    for terms in _group_terms(kind, regime):
+        f = observables._reduced_terms(cfg, terms, even_kernel)
         f(s, t)
         tracemalloc.start()
         try:
@@ -942,9 +972,8 @@ def test_phase_matching_map_identities():
         nodes["kx"] = kix.copy(), ksx.copy()
         return np.ones_like(kix)
 
-    terms = ((1, True, False), (1, False, True))
-    oblique, weighted = observables._reduced_terms(cfg, AmplitudeKind.SEPARABLE, terms, record)(
-        sigma, tau)
+    terms = ((AmplitudeKind.SEPARABLE, 1, True, False), (AmplitudeKind.SEPARABLE, 1, False, True))
+    oblique, weighted = observables._reduced_terms(cfg, terms, record)(sigma, tau)
     jac = weighted / np.exp(-0.5 * (nodes["kx"][0] + nodes["kx"][1]) ** 2 * cfg.pump_waist_um**2)
     kix, ksx = nodes["kx"]
     kiz, ksz = np.sqrt(k0**2 - kix**2), np.sqrt(k0**2 - ksx**2)
@@ -971,7 +1000,7 @@ def test_chord_ends_on_the_rhombus_edge_or_the_pump_cut(regime):
         nodes["kx"] = kix.copy(), ksx.copy()
         return np.ones_like(kix)
 
-    observables._reduced_terms(cfg, AmplitudeKind.SEPARABLE, ((1, False, True),), record)(
+    observables._reduced_terms(cfg, ((AmplitudeKind.SEPARABLE, 1, False, True),), record)(
         sigma, np.ones((1, 1)))
     kix, ksx = nodes["kx"]
     u, v = np.abs(kix + ksx), np.abs(kix - ksx)

@@ -273,7 +273,7 @@ def test_grid_sum_blocks_match_fsum(f, axes, panels, pinned_value):
     rows = quadrature.BLOCK_NODES // math.prod(sizes[1:])
     if rows > 0:
         assert (16 * panels[0][0]) % rows != 0
-    (value,), evals = quadrature._grid_sum(lambda *nodes: (f(*nodes),), axes, panels)
+    value, evals = quadrature.GridShare(lambda *nodes: (f(*nodes),)).grid_sum(0, axes, panels)
     reference = _fsum_reference(f, axes, panels)
     assert abs(value - reference) <= 1e-13 * abs(reference)
     assert evals == math.prod(sizes)
@@ -299,7 +299,7 @@ def test_grid_under_one_block_is_one_integrand_call(f, axes, panels):
 
     sizes = [16 * sum(counts) for counts in panels]
     assert math.prod(sizes) <= quadrature.BLOCK_NODES
-    (value,), evals = quadrature._grid_sum(recording, axes, panels)
+    value, evals = quadrature.GridShare(recording).grid_sum(0, axes, panels)
     assert calls == [tuple(sizes)]
     assert evals == math.prod(sizes)
     reference = _fsum_reference(f, axes, panels)
@@ -446,3 +446,30 @@ def test_grid_share_gives_each_component_its_own_result(integrate, domain, compo
     marked = hidden.component(0)
     assert integrate(lambda *nodes: marked(*nodes), domain, TIGHT) == alone[0]
     assert hidden.nodes == alone[0].evals
+
+
+def test_grid_share_evaluates_a_piece_that_two_grids_have_in_common_once():
+    # two components start alike on the first piece and differently on the
+    # second, on grids of several blocks: their grids differ, but the runs
+    # of the first piece that they have in common are evaluated once, and
+    # each result is the component's own integral
+    components = (
+        lambda x, y: np.cos(3.0 * x) * np.cos(2.0 * y),
+        lambda x, y: np.exp(-x) * np.cos(3.0 * x) * np.cos(2.0 * y),
+    )
+    domain = ((0.0, 1.0, 2.0), (0.0, 1.0))
+    starts = ((40, 2, 2), (40, 3, 2))
+    assert 16 * 40 * 32 > quadrature.BLOCK_NODES
+    blocks = []
+
+    def f(x, y):
+        blocks.append((float(x[0, 0]), x.size, y.size))
+        return tuple(g(x, y) for g in components)
+
+    share = quadrature.GridShare(f)
+    shared = [integrate_2d(share.component(i), domain, TIGHT, starts[i]) for i in range(2)]
+    alone = [integrate_2d(g, domain, TIGHT, start) for g, start in zip(components, starts)]
+    assert [repr(r) for r in shared] == [repr(r) for r in alone]
+    # no block twice, and fewer nodes than the two rules hold
+    assert len(blocks) == len(set(blocks))
+    assert share.nodes == sum(n * ny for _, n, ny in blocks) < sum(r.evals for r in alone)
